@@ -128,7 +128,8 @@ class CoframeSection:
 
 @dataclass(frozen=True)
 class SectionReport:
-    """Worst sampled slot magnitudes of a section's structure equations."""
+    """Worst sampled slot magnitudes of a section's structure equations,
+    and the torsion read from the same slot tables at the same points."""
 
     zero_slot_max: Mapping[Tuple[str, Tuple[int, int]], float]
     normalization_max: Mapping[str, float]
@@ -136,6 +137,7 @@ class SectionReport:
     normalization_violation: float
     samples: int
     witness: Optional[Point]
+    torsion: "TorsionInvariants"
     tolerance: float = 1e-9
 
     @property
@@ -162,7 +164,9 @@ def validate_section(section: CoframeSection,
     basis at samples and check the connection-free structure:
 
     structural zeros per ZERO_SLOTS, and the two normalization slots
-    (d theta on w3^w4, d theta_bar on w1^w2) equal to 1.
+    (d theta on w3^w4, d theta_bar on w1^w2) equal to 1.  A non-finite slot
+    reading counts as an infinite violation.  The report also carries the
+    torsion read from the same tables, at the validated points.
 
     Raises NormalizationError / StructuralZeroError on failure, with the
     report attached to the exception.
@@ -170,40 +174,33 @@ def validate_section(section: CoframeSection,
     spec = fm.resolve_spec(section.chart, spec)
     derivatives = section.derivatives()
     index = fm.coefficient_index(section.chart, 2)
+    collected = ex.sampled_collect(
+        spec, lambda pt: _slot_table_at(section, derivatives, pt, spec.guard)
+    )
 
     zero_max = {(lbl, slot): 0.0 for lbl in SECTION_LABELS for slot in ZERO_SLOTS[lbl]}
     norm_max = {lbl: 0.0 for lbl in NORMALIZATION_SLOTS}
-    worst_zero = 0.0
-    worst_norm = 0.0
+    worst = 0.0
     witness = None
-
-    def visit(pt: Point) -> float:
-        nonlocal worst_zero, worst_norm, witness
-        table = _slot_table_at(section, derivatives, pt, spec.guard)
+    for pt, table in collected:
         local = 0.0
         for lbl in SECTION_LABELS:
             row = table[lbl]
             scale = 1.0 + float(np.max(np.abs(row)))
             for slot in ZERO_SLOTS[lbl]:
-                v = abs(float(row[index[slot]])) / scale
-                if v > zero_max[lbl, slot]:
-                    zero_max[lbl, slot] = v
-                worst_zero = max(worst_zero, v)
+                v = ex.finite_or_inf(abs(float(row[index[slot]])) / scale)
+                zero_max[lbl, slot] = max(zero_max[lbl, slot], v)
                 local = max(local, v)
         for lbl, slot in NORMALIZATION_SLOTS.items():
-            v = abs(float(table[lbl][index[slot]]) - 1.0)
-            if v > norm_max[lbl]:
-                norm_max[lbl] = v
-            worst_norm = max(worst_norm, v)
+            v = ex.finite_or_inf(abs(float(table[lbl][index[slot]]) - 1.0))
+            norm_max[lbl] = max(norm_max[lbl], v)
             local = max(local, v)
-        return local
-
-    collected = ex.sampled_collect(spec, visit)
-    worst = max((v for _, v in collected), default=0.0)
-    for pt, v in collected:
-        if v == worst:
+        if local > worst or witness is None:
+            worst = local
             witness = pt
-            break
+    worst_zero = max(zero_max.values())
+    worst_norm = max(norm_max.values())
+    points, tables = zip(*collected)
     report = SectionReport(
         zero_slot_max=zero_max,
         normalization_max=norm_max,
@@ -211,6 +208,7 @@ def validate_section(section: CoframeSection,
         normalization_violation=worst_norm,
         samples=spec.count,
         witness=witness,
+        torsion=_read_torsion(points, tables, index),
         tolerance=spec.tolerance,
     )
     if worst_norm > spec.tolerance:
@@ -246,32 +244,32 @@ class TorsionInvariants:
         return self.values["A1"] * self.values["A2"]
 
 
+def _read_torsion(points, tables, index) -> TorsionInvariants:
+    values = {
+        name: np.array([table[lbl][index[slot]] for table in tables])
+        for name, (lbl, slot) in TORSION_SLOTS.items()
+    }
+    return TorsionInvariants(values, tuple(points))
+
+
 def extract_torsion(section: CoframeSection,
                     points: Optional[Sequence[Point]] = None,
                     spec: Optional[SampleSpec] = None,
                     exprs: Optional[Mapping[str, Expr]] = None) -> TorsionInvariants:
     """Read the ten torsion functions from the connection-free slots.
 
-    With `points` given they are used verbatim; otherwise samples are drawn
-    from `spec` (or the chart default) and the section is validated first.
+    With `points` given they are used verbatim.  Otherwise the section is
+    validated on samples drawn from `spec` (or the chart default), and the
+    torsion is read from that pass's slot tables, at the validated points.
     """
-    derivatives = section.derivatives()
-    index = fm.coefficient_index(section.chart, 2)
     if points is None:
-        spec = fm.resolve_spec(section.chart, spec)
-        validate_section(section, spec)
-        guard = spec.guard
-        pts = [pt for pt, _ in ex.sampled_collect(spec, lambda p: None)]
+        torsion = validate_section(section, spec).torsion
     else:
+        derivatives = section.derivatives()
         guard = section.chart.guard
-        pts = list(points)
-
-    values = {name: np.empty(len(pts)) for name in TORSION_NAMES}
-    for i, pt in enumerate(pts):
-        table = _slot_table_at(section, derivatives, pt, guard)
-        for name, (lbl, slot) in TORSION_SLOTS.items():
-            values[name][i] = table[lbl][index[slot]]
-    return TorsionInvariants(values, tuple(pts), exprs)
+        tables = [_slot_table_at(section, derivatives, pt, guard) for pt in points]
+        torsion = _read_torsion(points, tables, fm.coefficient_index(section.chart, 2))
+    return TorsionInvariants(torsion.values, torsion.points, exprs)
 
 
 def check_normal(torsion: TorsionInvariants, guard: float = 1e-6) -> bool:

@@ -367,8 +367,9 @@ class _Runner:
             )
         return fm.VectorField.coordinate(self.defn.chart, default_coord)
 
-    def section_record(self, section: bk.CoframeSection) -> bool:
-        """Validate and record; returns True when the section holds up."""
+    def section_record(self, section: bk.CoframeSection) -> Optional[bk.SectionReport]:
+        """Validate and record; returns the report when the section holds
+        up, else None."""
         try:
             report = bk.validate_section(section, self.spec)
             ok = True
@@ -386,7 +387,7 @@ class _Runner:
                 witness=report.witness.flat() if report.witness else "",
             )
         )
-        return ok
+        return report if ok else None
 
     def report(self, command: str) -> dict:
         out = {
@@ -413,13 +414,13 @@ def cmd_check(runner: _Runner) -> None:
     kind = runner.defn.kind
     if kind == "bt":
         bt = runner.build_bt()
-        section_ok = runner.section_record(bt.section)
+        validated = runner.section_record(bt.section)
         for name, result in bk.integrable_extension_checks(bt, runner.spec).items():
             runner.records.append(
                 _record_from_check(f"integrable_extension_{name}", result)
             )
-        if section_ok:
-            torsion = bk.extract_torsion(bt.section, spec=runner.spec)
+        if validated is not None:
+            torsion = validated.torsion
             runner.records.append(
                 _record(
                     "normal",

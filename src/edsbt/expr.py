@@ -12,6 +12,7 @@ structurally comparable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -415,8 +416,6 @@ def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -867,12 +866,6 @@ class SampleSpec:
 _MAX_REDRAWS = 80
 
 
-def draw_point(spec: SampleSpec, index: int) -> Point:
-    """Deterministic sample `index` of the spec's box (no guard filtering)."""
-    rng = random.Random(spec.seed ^ index)
-    return _draw(spec, rng)
-
-
 def _draw(spec: SampleSpec, rng: random.Random) -> Point:
     coords = {name: rng.uniform(lo, hi) for name, (lo, hi) in spec.box.items()}
     params = {}
@@ -885,28 +878,24 @@ def _draw(spec: SampleSpec, rng: random.Random) -> Point:
     return Point(coords, params)
 
 
-def sampled_check(spec: SampleSpec, violation_at) -> "CheckResult":
-    """Run `violation_at(point) -> float` at `spec.count` guarded samples.
+def finite_or_inf(value) -> float:
+    """`value` as a float violation; a non-finite one reads as inf, so no
+    comparison on the way to a verdict can skip it."""
+    value = float(value)
+    return value if math.isfinite(value) else math.inf
 
-    Points where the callback raises DomainError are redrawn (deterministic,
-    bounded).  Returns the worst violation, its witness point, and the pass
-    verdict `max_violation <= spec.tolerance`.
+
+def sampled_check(spec: SampleSpec, violation_at) -> "CheckResult":
+    """Reduce `violation_at(point) -> float` over the samples of
+    sampled_collect: the worst violation, its witness (the first point to
+    reach it), and the pass verdict `max_violation <= spec.tolerance`.
+
+    A non-finite violation counts as inf and so fails the check.
     """
     worst = 0.0
     witness = None
-    for i in range(spec.count):
-        rng = random.Random(spec.seed ^ i)
-        for _attempt in range(_MAX_REDRAWS):
-            pt = _draw(spec, rng)
-            try:
-                v = float(violation_at(pt))
-            except DomainError:
-                continue
-            break
-        else:
-            raise SamplingError(
-                f"guard rejected {_MAX_REDRAWS} consecutive points (sample {i})"
-            )
+    for pt, v in sampled_collect(spec, violation_at):
+        v = finite_or_inf(v)
         if v > worst or witness is None:
             worst = v
             witness = pt
@@ -914,11 +903,16 @@ def sampled_check(spec: SampleSpec, violation_at) -> "CheckResult":
 
 
 def sampled_collect(spec: SampleSpec, value_at) -> list:
-    """Collect `(point, value_at(point))` per sample with the same guarded
-    redraw policy as sampled_check."""
+    """Collect `(point, value_at(point))` at `spec.count` guarded samples.
+
+    Sample i draws from its own stream, seeded by the string
+    "{spec.seed}:{i}", so distinct seeds draw distinct points.  Points where
+    the callback raises DomainError are redrawn from the same stream
+    (deterministic, bounded); SamplingError after _MAX_REDRAWS rejections.
+    """
     out = []
     for i in range(spec.count):
-        rng = random.Random(spec.seed ^ i)
+        rng = random.Random(f"{spec.seed}:{i}")
         for _attempt in range(_MAX_REDRAWS):
             pt = _draw(spec, rng)
             try:

@@ -300,11 +300,6 @@ def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
 # pointwise numerics
 
 
-def evaluate_coefficients(a: DifferentialForm, env: Mapping, guard: Optional[float] = None) -> dict:
-    """Evaluated coefficient per stored tuple; env values may be arrays."""
-    return {t: ex.evaluate(c, env, guard) for t, c in a.coeffs.items()}
-
-
 def coefficients_at(a: DifferentialForm, pt: Point, guard: Optional[float] = None) -> np.ndarray:
     """Numeric coefficient vector in the coordinate wedge basis.
 

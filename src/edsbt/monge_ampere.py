@@ -56,16 +56,12 @@ class MongeAmpereSystem:
     chart: Chart
     theta: DifferentialForm
     omega: DifferentialForm
-    decomposition: Optional[Tuple[DifferentialForm, DifferentialForm]] = None
 
     def __post_init__(self):
         if self.omega.degree != 2:
             raise ValueError("omega must be a 2-form")
         if self.theta.degree != 1:
             raise ValueError("theta must be a 1-form")
-
-    def with_decomposition(self, omega1, omega2) -> "MongeAmpereSystem":
-        return MongeAmpereSystem(self.chart, self.theta, self.omega, (omega1, omega2))
 
 
 def _as_expr(chart: Chart, value) -> Expr:
@@ -162,9 +158,6 @@ class HyperbolicityReport:
     @property
     def hyperbolic(self) -> bool:
         return self.verdict == "hyperbolic"
-
-    def root_sets(self):
-        return [s.roots for s in self.samples]
 
 
 def hyperbolicity(sys: MongeAmpereSystem,

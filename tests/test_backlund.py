@@ -154,6 +154,24 @@ class TestValidateSection:
         with pytest.raises(bk.NormalizationError):
             bk.validate_section(sec, ch.sample_spec(count=16))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_slot_fails(self):
+        # c = atan(E) - atan(2*E/2) reads exactly 0, but its u-derivative
+        # reads inf/inf = nan where E = exp(exp(10u)) overflows (u > 0.66)
+        ch = sg_chart()
+        sec = explicit_sg_section(ch)
+        E = ex.exp(ex.exp(10 * ex.Var("u")))
+        c = ex.atan(E) - ex.atan(2 * E / 2)
+        broken = bk.CoframeSection(
+            ch, sec.theta, sec.theta_bar, sec.w1 + c * fm.d_coord(ch, "y"),
+            sec.w2, sec.w3, sec.w4,
+        )
+        with pytest.raises(bk.StructuralZeroError) as info:
+            bk.validate_section(broken, ch.sample_spec(count=16))
+        report = info.value.report
+        assert report.structural_violation == math.inf
+        assert report.witness.coords["u"] > 0.65
+
 
 class TestTorsion:
     def test_reference_point_table(self):
@@ -195,6 +213,29 @@ class TestTorsion:
             assert row["B4"] == pytest.approx(math.sin(math.pi / 4) / (2 * lam), rel=1e-9)
             assert row["C2"] == pytest.approx(-lam * math.cos(math.pi / 4), rel=1e-9)
             assert row["C4"] == pytest.approx(-math.cos(math.pi / 4) / lam, rel=1e-9)
+
+    def test_sampled_torsion_read_at_validated_points(self, monkeypatch):
+        # w1 = (x/x) dx trips a guard of 0.5 near x = 0, so validation
+        # redraws some samples; the torsion must sit at the redrawn points
+        ch = sg_chart()
+        sec = explicit_sg_section(ch)
+        x = ex.Var("x")
+        guarded = bk.CoframeSection(
+            ch, sec.theta, sec.theta_bar, (x / x) * sec.w1, sec.w2, sec.w3, sec.w4
+        )
+        attempts, validated = [], []
+        table_at = bk._slot_table_at
+
+        def recording(section, derivatives, pt, guard):
+            attempts.append(pt)
+            table = table_at(section, derivatives, pt, guard)
+            validated.append(pt)
+            return table
+
+        monkeypatch.setattr(bk, "_slot_table_at", recording)
+        torsion = bk.extract_torsion(guarded, spec=ch.sample_spec(count=16, guard=0.5))
+        assert len(attempts) > 16
+        assert list(torsion.points) == validated
 
     def test_sampled_invariants(self):
         bt, spec = sg_bt(count=32)

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import edsbt.backlund as bk
 import edsbt.cli as cli
 import edsbt.propagate as pp
 
@@ -451,6 +452,37 @@ class TestTzitzeicaCommand:
         )
         assert code == 1
         assert report["records"][0]["status"] == "error"
+
+
+class TestSlotTablePasses:
+    """One slot table per sample point, and one validation per check."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        fn = getattr(bk, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bk, name, counting)
+        return calls
+
+    def test_check(self, tmp_path, capsys, monkeypatch):
+        tables = self.counted(monkeypatch, "_slot_table_at")
+        passes = self.counted(monkeypatch, "validate_section")
+        code, _ = run(capsys, "check", write_def(tmp_path, SG_DEF), "--samples", "8")
+        assert code == 0
+        assert len(tables) == 8
+        assert len(passes) == 1
+
+    def test_torsion(self, tmp_path, capsys, monkeypatch):
+        tables = self.counted(monkeypatch, "_slot_table_at")
+        code, report = run(capsys, "torsion", write_def(tmp_path, SG_DEF), "--samples", "8")
+        assert code == 0
+        assert report["points"] == 8
+        assert len(tables) == 8
 
 
 class TestReproducibility:

@@ -188,6 +188,26 @@ class TestEquivRandom:
         r = equiv_random(P("lambda*u/lambda"), P("u"), spec)
         assert r.ok
 
+    def test_distinct_seeds_draw_distinct_points(self):
+        def drawn(seed):
+            spec = SampleSpec(box={"u": (-1, 1), "v": (-1, 1)}, count=64, seed=seed)
+            collected = expr.sampled_collect(spec, lambda pt: None)
+            return {tuple(sorted(pt.coords.items())) for pt, _ in collected}
+
+        assert drawn(0).isdisjoint(drawn(1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_violation_fails(self):
+        # exp(exp(10u)) overflows for u > 0.66, where e - e reads nan
+        e = P("exp(exp(10*u))")
+        spec = SampleSpec(box={"u": (-1.5, 1.5)}, count=64, seed=64)
+        r = equiv_random(e, e, spec)
+        assert not r.ok
+        assert r.max_violation == math.inf
+        drawn = [pt for pt, _ in expr.sampled_collect(spec, lambda pt: None)]
+        first = next(pt for pt in drawn if not math.isfinite(evaluate(e, pt.env())))
+        assert r.witness == first
+
 
 # ---------------------------------------------------------------------------
 # property suites
