@@ -16,6 +16,7 @@ vanish for a valid adapted section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -148,13 +149,10 @@ class SectionReport:
 def _slot_table_at(section: CoframeSection, derivatives, pt: Point, guard):
     """All six derivative expansions at one point: label -> 15-vector."""
     S = fm.coframe_matrix_at(section.forms(), pt, guard)
-    if np.linalg.cond(S) > fm.COND_LIMIT:
-        raise fm.SingularCoframeError(f"coframe singular at {pt.flat()}")
-    A = fm.wedge_basis_matrix(S, 2)
     V = np.stack(
         [fm.coefficients_at(df, pt, guard) for df in derivatives], axis=1
     )
-    X = np.linalg.solve(A, V)
+    X = fm.expand_in_coframe(S, V, 2)
     return {label: X[:, j] for j, label in enumerate(SECTION_LABELS)}
 
 
@@ -341,8 +339,12 @@ class WavelikeBT:
 
 
 def _sampled_min(expr: Expr, spec: SampleSpec) -> float:
+    """Sampled minimum of |expr|; a non-finite sample reads as 0.0, so a
+    margin built on it fails its guard."""
+
     def magnitude(pt: Point) -> float:
-        return abs(float(ex.evaluate(expr, pt.env(), spec.guard)))
+        value = abs(float(ex.evaluate(expr, pt.env(), spec.guard)))
+        return value if math.isfinite(value) else 0.0
 
     return min(v for _, v in ex.sampled_collect(spec, magnitude))
 
@@ -357,10 +359,7 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
     w2/w4 pointwise, and reports the residual diagnostics.
     """
     chart = chart or b_chart()
-    if isinstance(F, str):
-        F = chart.parse(F)
-    if isinstance(G, str):
-        G = chart.parse(G)
+    F, G = (ex.as_expr(e, chart.coords, chart.params) for e in (F, G))
     if ex.differentiate(F, "q") != ex.ZERO:
         raise WavelikeBuildError("F must not depend on q")
     if ex.differentiate(G, "p") != ex.ZERO:
@@ -453,8 +452,7 @@ def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
         nonlocal worst_resid
         M = np.stack([fm.coefficients_at(c, pt, spec.guard) for c in columns], axis=1)
         v = fm.coefficients_at(rhs_form, pt, spec.guard)
-        sol, *_ = np.linalg.lstsq(M, v, rcond=fm.RANK_CUTOFF)
-        resid = float(np.max(np.abs(M @ sol - v))) / (1.0 + float(np.max(np.abs(v))))
+        sol, resid = fm.span_residual(M, v)
         worst_resid = max(worst_resid, resid)
         lead = sol[lead_col]
         if abs(lead) < spec.guard:
@@ -550,8 +548,7 @@ def check_wavelike(section: CoframeSection, eta1: DifferentialForm,
                 [fm.coefficients_at(w, pt, spec.guard) for w in span_forms], axis=1
             )
             v = fm.coefficients_at(candidate, pt, spec.guard)
-            sol, *_ = np.linalg.lstsq(M, v, rcond=fm.RANK_CUTOFF)
-            return float(np.max(np.abs(M @ sol - v))) / (1.0 + float(np.max(np.abs(v))))
+            return fm.span_residual(M, v)[1]
 
         res = ex.sampled_check(spec, violation)
         if not res.ok:
@@ -670,10 +667,7 @@ def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
     """Expand (f, g) for affine data exactly as the 2x2 inverse times the
     2x4 derivative matrix times (1, p, q, pq)."""
     chart = chart or b_chart()
-    F0, F1, G0, G1 = (
-        chart.parse(e) if isinstance(e, str) else (e if isinstance(e, Expr) else ex._coerce(e))
-        for e in (F0, F1, G0, G1)
-    )
+    F0, F1, G0, G1 = (ex.as_expr(e, chart.coords, chart.params) for e in (F0, F1, G0, G1))
     for name, e in (("F0", F0), ("F1", F1), ("G0", G0), ("G1", G1)):
         bad = e.names() & {"p", "q"}
         if bad:

@@ -62,47 +62,7 @@ class Expr:
 
     __slots__ = ("_hash", "_names")
 
-    # -- operator sugar; all routed through the folding constructors --------
-    def __add__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (Expr, int, Fraction)):
-            return NotImplemented
-        return div(_coerce(other), self)
-
+    # + - * / are attached after the folding constructors, see _operator
     def __neg__(self):
         return neg(self)
 
@@ -133,6 +93,14 @@ def _coerce(value) -> Expr:
     if isinstance(value, (int, Fraction)):
         return Const(Fraction(value))
     raise TypeError(f"cannot use {type(value).__name__} in an expression")
+
+
+def as_expr(value, variables: Iterable[str], parameters: Iterable[str] = ()) -> Expr:
+    """`value` as an Expr: text is parsed against the declared names, an
+    Expr or exact number goes through _coerce."""
+    if isinstance(value, str):
+        return parse(value, variables, parameters)
+    return _coerce(value)
 
 
 class Const(Expr):
@@ -367,6 +335,25 @@ def div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0):
         return ZERO
     return Div(a, b)
+
+
+def _operator(build, reflected=False):
+    """Operator sugar routed through a folding constructor; other operand
+    types get NotImplemented."""
+
+    def method(self, other):
+        if not isinstance(other, (Expr, int, Fraction)):
+            return NotImplemented
+        other = _coerce(other)
+        return build(other, self) if reflected else build(self, other)
+
+    return method
+
+
+Expr.__add__, Expr.__radd__ = _operator(add), _operator(add, reflected=True)
+Expr.__sub__, Expr.__rsub__ = _operator(sub), _operator(sub, reflected=True)
+Expr.__mul__, Expr.__rmul__ = _operator(mul), _operator(mul, reflected=True)
+Expr.__truediv__, Expr.__rtruediv__ = _operator(div), _operator(div, reflected=True)
 
 
 def neg(a: Expr) -> Expr:

@@ -8,9 +8,10 @@ linear algebra on coefficient vectors, quantified over random samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -119,8 +120,7 @@ class DifferentialForm:
                 raise ValueError(f"index tuple {t} not strictly increasing length {degree}")
             if not (t == () or 0 <= t[0] and t[-1] < chart.dim):
                 raise ValueError(f"index tuple {t} outside chart")
-            if not isinstance(c, Expr):
-                c = ex._coerce(c)
+            c = ex._coerce(c)
             if c == ex.ZERO:
                 continue
             clean[t] = c
@@ -165,7 +165,7 @@ class DifferentialForm:
         )
 
     def __mul__(self, scalar):
-        s = scalar if isinstance(scalar, Expr) else ex._coerce(scalar)
+        s = ex._coerce(scalar)
         return DifferentialForm(
             self.chart, self.degree, {t: ex.mul(s, c) for t, c in self.coeffs.items()}
         )
@@ -207,9 +207,7 @@ class VectorField:
     components: tuple  # one Expr per coordinate
 
     def __post_init__(self):
-        comps = tuple(
-            c if isinstance(c, Expr) else ex._coerce(c) for c in self.components
-        )
+        comps = tuple(ex._coerce(c) for c in self.components)
         if len(comps) != self.chart.dim:
             raise ValueError("component count must match chart dimension")
         object.__setattr__(self, "components", comps)
@@ -319,7 +317,10 @@ def coefficient_index(chart: Chart, degree: int) -> dict:
 
 
 def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None) -> np.ndarray:
-    """S[i, j] = coefficient of the j-th coordinate differential in coframe[i]."""
+    """S[i, j] = coefficient of the j-th coordinate differential in coframe[i].
+
+    Raises SingularCoframeError when S has condition number above COND_LIMIT.
+    """
     n = coframe[0].chart.dim
     if len(coframe) != n:
         raise ValueError("coframe must contain n one-forms")
@@ -330,24 +331,46 @@ def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None
             raise ValueError("coframe entries must be 1-forms")
         for t, c in w.coeffs.items():
             S[i, t[0]] = ex.evaluate(c, env, guard)
+    if np.linalg.cond(S) > COND_LIMIT:
+        raise SingularCoframeError(f"coframe singular at {pt.flat()}")
     return S
 
 
-def wedge_basis_matrix(S: np.ndarray, k: int) -> np.ndarray:
-    """A[U, T] = det S[T, U]: coordinates of the coframe wedge basis.
+@lru_cache(maxsize=None)
+def _antisymmetric_layout(n: int, k: int):
+    """Where each degree-k basis coefficient goes in a flattened (n,)*k
+    antisymmetric tensor: (flat positions, signs, source rows), and the flat
+    positions of the increasing tuples themselves."""
+    shape = (n,) * k
+    entries = [
+        (np.ravel_multi_index(perm, shape), _merge_sign(perm, ())[1], row)
+        for row, t in enumerate(basis_tuples(n, k))
+        for perm in permutations(t)
+    ]
+    positions, signs, rows = (np.array(column) for column in zip(*entries))
+    increasing = np.array([np.ravel_multi_index(t, shape) for t in basis_tuples(n, k)])
+    return positions, signs, rows, increasing
 
-    Columns follow `basis_tuples(n, k)` over coframe indices T, rows the same
-    tuples over coordinate indices U; solves a = sum_T c_T sigma_T.
+
+def expand_in_coframe(S: np.ndarray, values: np.ndarray, degree: int) -> np.ndarray:
+    """Coordinate-basis coefficients -> coefficients in the wedge basis of
+    the coframe with matrix S.
+
+    `values` holds coefficients ordered by `basis_tuples(n, degree)` along
+    axis 0 (further axes are independent columns).  As an antisymmetric
+    tensor each index is contracted with S^-1: degree 1 is S^-T v, degree 2
+    the congruence S^-T M S^-1, degree 0 the identity.
     """
     n = S.shape[0]
-    basis = basis_tuples(n, k)
-    m = len(basis)
-    A = np.empty((m, m))
-    for col, T in enumerate(basis):
-        sub = S[np.ix_(T, range(n))]
-        for row, U in enumerate(basis):
-            A[row, col] = np.linalg.det(sub[:, U])
-    return A
+    inverse = np.linalg.inv(S)
+    positions, signs, rows, increasing = _antisymmetric_layout(n, degree)
+    rest = values.shape[1:]
+    tensor = np.zeros((n**degree,) + rest)
+    tensor[positions] = signs.reshape((-1,) + (1,) * len(rest)) * values[rows]
+    tensor = tensor.reshape((n,) * degree + rest)
+    for axis in range(degree):
+        tensor = np.moveaxis(np.tensordot(inverse.T, tensor, axes=(1, axis)), 0, axis)
+    return tensor.reshape((n**degree,) + rest)[increasing]
 
 
 def coframe_coefficients_at(
@@ -363,13 +386,21 @@ def coframe_coefficients_at(
     above COND_LIMIT.
     """
     S = coframe_matrix_at(coframe, pt, guard)
-    if np.linalg.cond(S) > COND_LIMIT:
-        raise SingularCoframeError(f"coframe singular at {pt.flat()}")
-    if a.degree == 0:
-        return coefficients_at(a, pt, guard)
-    v = coefficients_at(a, pt, guard)
-    A = wedge_basis_matrix(S, a.degree)
-    return np.linalg.solve(A, v)
+    return expand_in_coframe(S, coefficients_at(a, pt, guard), a.degree)
+
+
+def span_residual(M: np.ndarray, v: np.ndarray):
+    """Least-squares fit of v by the columns of M: (solution, residual), the
+    residual being max|M sol - v| / (1 + max|v|).
+
+    Non-finite input gives a NaN solution and an infinite residual: LAPACK's
+    least-squares driver can fail to return on a NaN in M, and a NaN
+    residual would drop out of max().
+    """
+    if not (np.isfinite(M).all() and np.isfinite(v).all()):
+        return np.full(M.shape[1], np.nan), math.inf
+    sol, *_ = np.linalg.lstsq(M, v, rcond=RANK_CUTOFF)
+    return sol, float(np.max(np.abs(M @ sol - v))) / (1.0 + float(np.max(np.abs(v))))
 
 
 def ideal_contains(
@@ -407,14 +438,9 @@ def ideal_contains(
 
     def violation(pt: Point) -> float:
         v = coefficients_at(target, pt, spec.guard)
-        scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
-        if not columns:
-            return float(np.max(np.abs(v))) / scale if v.size else 0.0
-        M = np.stack(
-            [coefficients_at(c, pt, spec.guard) for c in columns], axis=1
-        )
-        sol, *_ = np.linalg.lstsq(M, v, rcond=RANK_CUTOFF)
-        resid = M @ sol - v
-        return float(np.max(np.abs(resid))) / scale
+        M = np.zeros((v.size, len(columns)))
+        for j, c in enumerate(columns):
+            M[:, j] = coefficients_at(c, pt, spec.guard)
+        return span_residual(M, v)[1]
 
     return ex.sampled_check(spec, violation)

@@ -64,14 +64,6 @@ class MongeAmpereSystem:
             raise ValueError("theta must be a 1-form")
 
 
-def _as_expr(chart: Chart, value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return chart.parse(value)
-    return ex._coerce(value)
-
-
 def from_coefficients(A, B, C, D, E, chart: Optional[Chart] = None,
                       spec: Optional[SampleSpec] = None) -> MongeAmpereSystem:
     """Assemble the system for coefficients A..E (Expr, text, or number).
@@ -80,7 +72,7 @@ def from_coefficients(A, B, C, D, E, chart: Optional[Chart] = None,
     Raises DegenerateSystemError when Omega vanishes on the whole sample box.
     """
     chart = chart or standard_chart()
-    A, B, C, D, E = (_as_expr(chart, v) for v in (A, B, C, D, E))
+    A, B, C, D, E = (ex.as_expr(v, chart.coords, chart.params) for v in (A, B, C, D, E))
     dx, dy, dp, dq = (fm.d_coord(chart, c) for c in ("x", "y", "p", "q"))
     half_B = ex.mul(ex.Const(Fraction(1, 2)), B)
     omega = (

@@ -126,13 +126,9 @@ class Field:
         return 0 if self.singular is None else int(self.singular.sum())
 
 
-def _as_expr(e, variables=("x", "y"), parameters=()) -> Expr:
-    return ex.parse(e, variables, parameters) if isinstance(e, str) else e
-
-
 def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
     """Pointwise evaluation of an expression in x, y over the grid."""
-    e = _as_expr(e, parameters=tuple(params or ()))
+    e = ex.as_expr(e, ("x", "y"), tuple(params or ()))
     X, Y = grid.mesh()
     env = dict(params or {})
     env["x"] = X
@@ -266,7 +262,7 @@ def bt_propagate(
     (lo, hi) window for the v_x root solve in the non-affine case.
     """
     params = _fixed_params(bt.chart)
-    seed = _as_expr(seed, parameters=tuple(params))
+    seed = ex.as_expr(seed, ("x", "y"), tuple(params))
     F, G = bt.F, bt.G
     Fp = bt.fp
     ux_e = ex.differentiate(seed, "x")
@@ -400,7 +396,7 @@ def wavelike_residual(v: Field, f, params: Optional[dict] = None) -> ResidualRep
     Derivatives are second-order central differences; f uses the chart
     vocabulary (u for the value, p and q for the first derivatives).
     """
-    f = _as_expr(f, ("x", "y", "u", "p", "q"), tuple(params or ()))
+    f = ex.as_expr(f, ("x", "y", "u", "p", "q"), tuple(params or ()))
     grid = v.grid
     vals = v.values
     if not np.all(np.isfinite(vals)):
@@ -458,7 +454,7 @@ def tzitzeica_propagate(
     integrated along the base row and then up the columns.  Nodes where
     |h'| < guard are flagged singular rather than treated as failures.
     """
-    h = _as_expr(h)
+    h = ex.as_expr(h, ("x", "y"))
     lam = float(lam)
     if abs(lam) < guard:
         raise PropagationError("lam must be bounded away from zero")

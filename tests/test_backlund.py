@@ -101,6 +101,17 @@ class TestBuildWavelike:
         assert len(gens) == 4
         assert [g.degree for g in gens] == [1, 1, 2, 2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_margin_reads_zero(self):
+        # inf - inf = nan where both exponentials overflow; min() alone
+        # skips a nan that follows the first sample
+        ch = bk.b_chart()
+        spec = ch.sample_spec(count=64, seed=0)
+        e = ch.parse("2 + exp(1000*u) - exp(1000*x)")
+        values = [v for _, v in ex.sampled_collect(spec, lambda pt: ex.evaluate(e, pt.env()))]
+        assert any(math.isnan(v) for v in values[1:])
+        assert bk._sampled_min(e, spec) == 0.0
+
 
 def explicit_sg_section(ch):
     """The adapted section written out in closed form."""

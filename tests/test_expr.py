@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,31 @@ def test_differentiate_linearity(e1, e2, a, var):
 @given(fd_exprs, fd_points)
 def test_evaluate_deterministic(e, pt):
     assert evaluate(e, pt) == evaluate(e, pt)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_operators_coerce_exact_numbers_and_refuse_floats(op):
+    x = Var("x")
+    env = {"x": 0.5}
+    assert evaluate(op(x, 2), env) == pytest.approx(op(0.5, 2))
+    assert evaluate(op(Fraction(3, 2), x), env) == pytest.approx(op(1.5, 0.5))
+    name = op.__name__
+    assert getattr(x, f"__{name}__")(1.5) is NotImplemented
+    assert getattr(x, f"__r{name}__")(1.5) is NotImplemented
+    for a, b in ((x, 1.5), (1.5, x)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_as_expr_parses_text_and_coerces_the_rest():
+    x = Var("x")
+    assert expr.as_expr("x + lambda", COORDS, PARAMS) == P("x + lambda")
+    assert expr.as_expr(x, COORDS) is x
+    assert expr.as_expr(2, COORDS) == Const(2)
+    with pytest.raises(TypeError):
+        expr.as_expr(1.5, COORDS)
+    with pytest.raises(ExprSyntaxError):
+        expr.as_expr("lambda", COORDS)
 
 
 def test_substitute_basic():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edsbt import expr as ex
 from edsbt import forms as fm
@@ -254,6 +254,22 @@ class TestCoframeCoefficientsAt:
                 assert abs(got[ix[cross]]) < 1e-10
 
 
+class TestSpanResidual:
+    def test_residual_relative_to_target(self):
+        M = np.array([[1.0], [0.0]])
+        sol, resid = fm.span_residual(M, np.array([2.0, 3.0]))
+        assert sol == pytest.approx([2.0])
+        assert resid == pytest.approx(3.0 / 4.0)
+
+    @pytest.mark.parametrize("where", ["M", "v"])
+    def test_nonfinite_input_reads_infinite(self, where):
+        M = np.eye(3)
+        v = np.array([1.0, 0.5, 0.0])
+        (M if where == "M" else v)[1, ...] = math.nan
+        sol, resid = fm.span_residual(M, v)
+        assert resid == math.inf and np.isnan(sol).all()
+
+
 class TestIdealContains:
     def test_generator_is_contained(self):
         ch = chart5()
@@ -408,6 +424,43 @@ def test_property_coordinate_coframe_matches_direct_extraction(a, seed):
     assert np.allclose(
         coframe_coefficients_at(a, cof, pt), coefficients_at(a, pt), atol=1e-10
     )
+
+
+def _coframe_wedge(coframe, K):
+    """sigma^K: the wedge of the coframe members indexed by K (1 for K = ())."""
+    out = DifferentialForm.function(coframe[0].chart, ex.ONE)
+    for k in K:
+        out = wedge(out, coframe[k])
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    _form_strategy(_COORDS5, (0, 1, 2, 3)),
+    st.lists(st.integers(0, len(_coeff_pool(_COORDS5))), min_size=25, max_size=25),
+    st.integers(0, 2**31 - 1),
+)
+def test_property_coframe_expansion_reassembles_the_form(a, picks, seed):
+    # oracle independent of how the expansion is computed:
+    # sum_K c_K sigma^K must give back a's coordinate coefficients
+    ch = a.chart
+    pool = _coeff_pool(_COORDS5) + [ex.ZERO]
+    coframe = [
+        DifferentialForm(ch, 1, {(j,): pool[picks[5 * i + j]] for j in range(5)})
+        for i in range(5)
+    ]
+    rng = random.Random(seed)
+    pt = Point({c: rng.uniform(*BOX) for c in _COORDS5})
+    try:
+        c = coframe_coefficients_at(a, coframe, pt)
+    except SingularCoframeError:
+        assume(False)
+    terms = [
+        c_K * coefficients_at(_coframe_wedge(coframe, K), pt)
+        for c_K, K in zip(c, basis_tuples(5, a.degree))
+    ]
+    scale = 1.0 + sum(float(np.max(np.abs(t))) for t in terms)
+    assert np.max(np.abs(sum(terms) - coefficients_at(a, pt))) <= 1e-9 * scale
 
 
 def test_ideal_membership_monotone_under_random_extensions():
