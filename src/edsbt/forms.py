@@ -319,7 +319,8 @@ def coefficient_index(chart: Chart, degree: int) -> dict:
 def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None) -> np.ndarray:
     """S[i, j] = coefficient of the j-th coordinate differential in coframe[i].
 
-    Raises SingularCoframeError when S has condition number above COND_LIMIT.
+    Raises SingularCoframeError when S has a non-finite entry or condition
+    number above COND_LIMIT.
     """
     n = coframe[0].chart.dim
     if len(coframe) != n:
@@ -331,7 +332,7 @@ def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None
             raise ValueError("coframe entries must be 1-forms")
         for t, c in w.coeffs.items():
             S[i, t[0]] = ex.evaluate(c, env, guard)
-    if np.linalg.cond(S) > COND_LIMIT:
+    if not np.all(np.isfinite(S)) or np.linalg.cond(S) > COND_LIMIT:
         raise SingularCoframeError(f"coframe singular at {pt.flat()}")
     return S
 

@@ -13,6 +13,7 @@ whose root structure classifies each sample point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -87,7 +88,10 @@ def from_coefficients(A, B, C, D, E, chart: Optional[Chart] = None,
     spec = fm.resolve_spec(chart, spec)
 
     def magnitude(pt: Point) -> float:
-        return float(np.max(np.abs(fm.coefficients_at(omega, pt, spec.guard))))
+        # a non-finite magnitude reads as 0.0, so no sample order lets a
+        # NaN decide the verdict
+        value = float(np.max(np.abs(fm.coefficients_at(omega, pt, spec.guard))))
+        return value if math.isfinite(value) else 0.0
 
     largest = max(v for _, v in ex.sampled_collect(spec, magnitude))
     if largest <= spec.tolerance:
@@ -123,6 +127,9 @@ def validate(sys: MongeAmpereSystem, spec: Optional[SampleSpec] = None) -> Check
         M = np.stack(cols, axis=1)
         vo = fm.coefficients_at(sys.omega, pt, spec.guard)
         augmented = np.concatenate([M, vo[:, None]], axis=1)
+        if not np.all(np.isfinite(augmented)):
+            # norm and matrix_rank run an SVD, which raises LinAlgError on it
+            return math.inf
         cutoff = fm.RANK_CUTOFF * np.linalg.norm(augmented, 2)
         without = np.linalg.matrix_rank(M, tol=cutoff)
         with_omega = np.linalg.matrix_rank(augmented, tol=cutoff)

@@ -23,9 +23,12 @@ to discretization accuracy exactly when the seed solves its PDE.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
+import shutil
+import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -586,23 +589,87 @@ _HEADER_RE = re.compile(
 def write_field_csv(fieldobj: Field, path: str) -> None:
     """Serialize a field; singular nodes become `nan`.
 
-    Writing is atomic: the content lands in a sibling temp file first.
+    The rows are split into one contiguous block per CPU the process may
+    run on (at most one per row).  A forked child formats each block after
+    the first while this process formats the first, and the blocks are
+    joined in order, so the bytes do not depend on the CPU count.  Every
+    child has exited and been reaped before this returns.
+
+    Writing is atomic: the content lands in a sibling temp file first,
+    which is removed if any block fails.
     """
     grid = fieldobj.grid
     out = fieldobj.values.copy()
     if fieldobj.singular is not None:
         out[fieldobj.singular] = np.nan
-    lines = [
+    header = (
         f"# grid nx={grid.nx} ny={grid.ny} "
-        f"x0={grid.x0!r} x1={grid.x1!r} y0={grid.y0!r} y1={grid.y1!r}"
-    ]
-    for j in range(grid.ny):
-        lines.append(",".join(repr(float(val)) for val in out[j]))
+        f"x0={grid.x0!r} x1={grid.x1!r} y0={grid.y0!r} y1={grid.y1!r}\n"
+    )
+    affinity = getattr(os, "sched_getaffinity", None)
+    blocks = np.array_split(out, min(len(affinity(0)), grid.ny) if affinity else 1)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    children = []  # (pid, read end of its pipe), in block order
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_formatter(block))
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode())
+            fh.write(_format_rows(blocks[0]))
+            for _pid, pipe in children:
+                shutil.copyfileobj(pipe, fh)
+        _reap(children)
+    except BaseException:
+        _reap(children, kill=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of the rows of `block`, each ending in a newline."""
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in block).encode()
+
+
+def _fork_formatter(block: np.ndarray):
+    """Fork a child that writes `_format_rows(block)` to a pipe.  Returns
+    (pid, read end).  The child leaves through os._exit on every path, so
+    it never returns into the caller and runs no exit handlers."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_format_rows(block))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reap(children: list, kill: bool = False) -> None:
+    """Close the pipes of `children` and wait for each (after SIGKILL when
+    `kill`); raise OSError if one did not exit with status 0."""
+    failed = []
+    while children:
+        pid, pipe = children.pop(0)
+        pipe.close()
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        if status != 0 and not kill:
+            failed.append(f"pid {pid}: exit status {os.waitstatus_to_exitcode(status)}")
+    if failed:
+        raise OSError("CSV row formatter failed (" + "; ".join(failed) + ")")
 
 
 def read_field_csv(path: str) -> Field:

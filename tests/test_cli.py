@@ -244,6 +244,19 @@ class TestCheckCommand:
         assert code == 0
         assert [r["name"] for r in report["records"]] == ["monge_ampere_valid"]
 
+    def test_ma_check_nonfinite_sample_fails_with_witness(self, tmp_path, capsys):
+        # E overflows to inf - inf = nan at some samples; the record fails
+        # instead of the SVD behind the rank test raising
+        text = SG_MA_DEF.replace("E = -sin(u)", "E = exp(1000*u) - exp(1000*x)")
+        with np.errstate(all="ignore"):
+            code, report = run(capsys, "check", write_def(tmp_path, text))
+        assert code == 1
+        (record,) = report["records"]
+        assert record["name"] == "monge_ampere_valid"
+        assert record["status"] == "fail"
+        assert record["max_violation"] == math.inf
+        assert record["witness"]
+
     def test_section_check(self, tmp_path, capsys):
         code, report = run(
             capsys, "check", write_def(tmp_path, SECTION_DEF), "--samples", "8"

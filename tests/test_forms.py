@@ -222,6 +222,18 @@ class TestCoframeCoefficientsAt:
         with pytest.raises(SingularCoframeError):
             coframe_coefficients_at(dxdy, cof, Point({c: 0.0 for c in ch.coords}))
 
+    def test_nonfinite_coframe_rejected(self):
+        # at x = 1 the first coefficient is inf * 0 = nan; np.linalg.cond
+        # would raise LinAlgError on it
+        ch = chart5()
+        x = ex.Var("x")
+        cof = [d_coord(ch, c) for c in ch.coords]
+        cof[0] = ex.exp(1000 * x) * ex.exp(-1000 * x) * cof[0]
+        dxdy = wedge(d_coord(ch, "x"), d_coord(ch, "y"))
+        pt = Point({c: 1.0 for c in ch.coords})
+        with np.errstate(all="ignore"), pytest.raises(SingularCoframeError):
+            coframe_coefficients_at(dxdy, cof, pt)
+
     def test_adapted_coframe_block_structure(self):
         # the contact form's derivative decomposes into the two 2x2 blocks of
         # an adapted coframe, with no cross-block slots

@@ -54,6 +54,25 @@ class TestFromCoefficients:
         with pytest.raises(ma.DegenerateSystemError):
             ma.from_coefficients(0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("nonfinite_first", [True, False])
+    def test_nonfinite_magnitude_reads_zero_in_any_order(
+        self, monkeypatch, nonfinite_first
+    ):
+        # with c = 0, E is 0 where exp(1000*u) is finite (u < 0.7) and
+        # 0*inf = nan elsewhere, so the verdict must not hang on where the
+        # NaNs fall
+        collect = ex.sampled_collect
+
+        def reordered(spec, value_at):
+            pairs = collect(spec, value_at)
+            assert any(pt.coords["u"] > 0.75 for pt, _ in pairs)
+            return sorted(pairs, key=lambda pv: pv[0].coords["u"], reverse=nonfinite_first)
+
+        monkeypatch.setattr(ex, "sampled_collect", reordered)
+        chart = ma.standard_chart(params={"c": 0.0})
+        with np.errstate(all="ignore"), pytest.raises(ma.DegenerateSystemError):
+            ma.from_coefficients(0, 0, 0, 0, "c*exp(1000*u)", chart=chart)
+
     def test_validate_accepts_standard_systems(self):
         sys, spec = sg_system()
         assert ma.validate(sys, spec).ok

@@ -331,6 +331,57 @@ class TestTzitzeicaResidual:
             pp.tzitzeica_residual(pp.Field(grid, vals, singular=mask))
 
 
+
+def written_values(field):
+    vals = field.values.copy()
+    if field.singular is not None:
+        vals[field.singular] = np.nan
+    return vals
+
+
+def reference_csv(field):
+    """The field CSV as one process writes it, row by row."""
+    g = field.grid
+    lines = [f"# grid nx={g.nx} ny={g.ny} x0={g.x0!r} x1={g.x1!r} y0={g.y0!r} y1={g.y1!r}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in written_values(field)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def csv_fields():
+    rng = np.random.default_rng(5)
+    two_rows = pp.Field(pp.Grid(4, 2, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(2, 4)))
+    odd_rows = pp.Field(pp.Grid(3, 7, -1.0, 1.0, 0.5, 2.5), rng.normal(size=(7, 3)))
+    mask = np.zeros((5, 4), dtype=bool)
+    mask[0, 0] = mask[3, 2] = mask[4, 3] = True
+    singular = pp.Field(pp.Grid(4, 5, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(5, 4)), mask)
+    extremes = np.array(
+        [[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0], [0.1, 1.0 / 3.0, -2.5]]
+    )
+    extreme = pp.Field(pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0), extremes)
+    return {"ny=2": two_rows, "odd ny": odd_rows, "singular": singular, "extremes": extreme}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children write_field_csv forks, in order."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestFieldCSV:
     def test_round_trip_bitwise(self, tmp_path, sg_bt):
         grid = pp.Grid(31, 21, 0.0, 2.0, 0.0, 1.0)
@@ -370,6 +421,51 @@ class TestFieldCSV:
         path = str(tmp_path / "f.csv")
         pp.write_field_csv(pp.Field(grid, np.zeros((2, 2))), path)
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["ny=2", "odd ny", "singular", "extremes"])
+    def test_bytes_match_one_process_writer(self, tmp_path, monkeypatch, forks, name, cpus):
+        field = csv_fields()[name]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        path = str(tmp_path / "f.csv")
+        pp.write_field_csv(field, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(field)
+        assert len(forks) == min(cpus, field.grid.ny) - 1
+        assert_no_child_left()
+        back = pp.read_field_csv(path)
+        assert np.array_equal(back.values, written_values(field), equal_nan=True)
+
+    def test_one_block_without_affinity(self, tmp_path, monkeypatch, forks):
+        field = csv_fields()["odd ny"]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        path = str(tmp_path / "f.csv")
+        pp.write_field_csv(field, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(field)
+        assert forks == []
+
+    @pytest.mark.parametrize("fail_in_child", [True, False])
+    def test_failed_block_leaves_no_file_and_no_child(
+        self, tmp_path, monkeypatch, forks, fail_in_child
+    ):
+        parent = os.getpid()
+        format_rows = pp._format_rows
+
+        def failing(block):
+            if (os.getpid() != parent) == fail_in_child:
+                raise MemoryError("formatting failed")
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        path = str(tmp_path / "f.csv")
+        with pytest.raises(OSError if fail_in_child else MemoryError):
+            pp.write_field_csv(csv_fields()["odd ny"], path)
+        assert len(forks) == 2
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".tmp")
+        assert_no_child_left()
 
     def test_malformed_header(self, tmp_path):
         path = str(tmp_path / "bad.csv")
