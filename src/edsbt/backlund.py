@@ -442,25 +442,19 @@ def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
     columns = [fm.wedge(b, contact) for b in block_forms]
     rhs_form = fm.wedge(d_contact, contact)
 
-    probes = min(spec.count, 8)
-    worst_resid = 0.0
-    ratios = []
-    cand_vals = []
-    probe_spec = spec.replace(count=probes)
-
     def fit(pt: Point):
-        nonlocal worst_resid
         M = np.stack([fm.coefficients_at(c, pt, spec.guard) for c in columns], axis=1)
         v = fm.coefficients_at(rhs_form, pt, spec.guard)
         sol, resid = fm.span_residual(M, v)
-        worst_resid = max(worst_resid, resid)
         lead = sol[lead_col]
         if abs(lead) < spec.guard:
             raise ex.DomainError("leading block coefficient vanished")
-        ratios.append(sol[target_col] / lead)
-        cand_vals.append(float(ex.evaluate(candidate, pt.env(), spec.guard)))
+        cand = float(ex.evaluate(candidate, pt.env(), spec.guard))
+        return resid, sol[target_col] / lead, cand
 
-    ex.sampled_collect(probe_spec, fit)
+    probe_spec = spec.replace(count=min(spec.count, 8))
+    resids, ratios, cand_vals = zip(*(v for _, v in ex.sampled_collect(probe_spec, fit)))
+    worst_resid = max(0.0, *resids)
     if worst_resid > max(spec.tolerance, 1e-8):
         raise WavelikeBuildError(
             f"adapted-derivative conditions unsatisfied (residual {worst_resid:.3e})"

@@ -49,6 +49,10 @@ SECTION_KEYS = ("theta", "theta_bar", "w1", "w2", "w3", "w4")
 
 @dataclass(frozen=True)
 class SystemDefinition:
+    """A parsed definition file.  `body` and `candidates` keep the file's
+    keys; each value is parsed: an Expr, a list of chart.dim Exprs for a
+    comma-separated entry, or a float for a [tzitzeica] number."""
+
     chart: fm.Chart
     kind: str
     body: dict
@@ -177,11 +181,11 @@ def parse_definition(path: str) -> SystemDefinition:
     if extra:
         raise DefinitionError(f"{path}: [{kind}] unknown entries {extra}")
     candidates = dict(blocks.get("candidates", {}))
-    _validate_expressions(chart, kind, body, candidates, path)
+    _parse_expressions(chart, kind, body, candidates, path)
 
     spec_overrides = {}
     spec_block = blocks.get("spec", {})
-    for key, cast in (("samples", int), ("tol", float), ("guard", float), ("seed", int)):
+    for key, cast in (("samples", int), ("tol", float), ("seed", int)):
         if key in spec_block:
             try:
                 spec_overrides[key] = cast(spec_block[key])
@@ -198,66 +202,43 @@ def parse_definition(path: str) -> SystemDefinition:
     )
 
 
-def _validate_expressions(chart, kind, body, candidates, path):
-    """Parse every expression entry up front: a file that does not parse
-    is a usage error no matter which subcommand touches it."""
+def _parse_expressions(chart, kind, body, candidates, path):
+    """Parse every entry of `body` and `candidates` in place, up front: a
+    file that does not parse is a usage error no matter which subcommand
+    touches it."""
 
-    def check(text, where):
+    def parse(text, where):
         try:
-            chart.parse(text)
+            return chart.parse(text)
         except ex.ExprSyntaxError as err:
             raise DefinitionError(f"{path}: {where}: {err}") from None
 
-    def check_list(value, where):
+    def parse_list(value, where):
         parts = _split_list(value)
         if len(parts) != chart.dim:
             raise DefinitionError(
                 f"{path}: {where}: expected {chart.dim} comma-separated expressions"
             )
-        for part in parts:
-            check(part, where)
+        return [parse(part, where) for part in parts]
 
     if kind in ("bt", "ma"):
         for key, value in body.items():
-            check(value, f"[{kind}] {key}")
+            body[key] = parse(value, f"[{kind}] {key}")
     elif kind == "section":
         for key in SECTION_KEYS:
-            check_list(body[key], f"[section] {key}")
+            body[key] = parse_list(body[key], f"[section] {key}")
     else:
-        check(body["h"], "[tzitzeica] h")
+        body["h"] = parse(body["h"], "[tzitzeica] h")
         for key in ("lambda", "alpha0", "beta0"):
-            _parse_float(body[key], f"[tzitzeica] {key}")
+            body[key] = _parse_float(body[key], f"[tzitzeica] {key}")
     for key, value in candidates.items():
         if key not in ("eta1", "eta3", "X", "Y"):
             raise DefinitionError(f"{path}: [candidates] unknown key {key!r}")
-        check_list(value, f"[candidates] {key}")
+        candidates[key] = parse_list(value, f"[candidates] {key}")
 
 
-def _parse_exprs(defn: SystemDefinition, value: str, where: str, n: int) -> list:
-    parts = _split_list(value)
-    if len(parts) != n:
-        raise DefinitionError(f"{where}: expected {n} comma-separated expressions")
-    try:
-        return [defn.chart.parse(part) for part in parts]
-    except ex.ExprSyntaxError as err:
-        raise DefinitionError(f"{where}: {err}") from None
-
-
-def _coefficient_form(defn: SystemDefinition, value: str, where: str):
-    coeffs = _parse_exprs(defn, value, where, defn.chart.dim)
-    return fm.one_form(defn.chart, dict(zip(defn.chart.coords, coeffs)))
-
-
-def _vector_field(defn: SystemDefinition, value: str, where: str):
-    comps = _parse_exprs(defn, value, where, defn.chart.dim)
-    return fm.VectorField(defn.chart, tuple(comps))
-
-
-def _body_expr(defn: SystemDefinition, key: str):
-    try:
-        return defn.chart.parse(defn.body[key])
-    except ex.ExprSyntaxError as err:
-        raise DefinitionError(f"[{defn.kind}] {key}: {err}") from None
+def _coefficient_form(chart: fm.Chart, coeffs: list):
+    return fm.one_form(chart, dict(zip(chart.coords, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +328,18 @@ class _Runner:
         )
 
     def build_section(self) -> bk.CoframeSection:
-        forms = [
-            _coefficient_form(self.defn, self.defn.body[key], f"[section] {key}")
-            for key in SECTION_KEYS
-        ]
-        return bk.CoframeSection(self.defn.chart, *forms)
+        chart = self.defn.chart
+        forms = [_coefficient_form(chart, self.defn.body[key]) for key in SECTION_KEYS]
+        return bk.CoframeSection(chart, *forms)
 
     def candidate_form(self, key: str, default_coord: str):
         if key in self.defn.candidates:
-            return _coefficient_form(
-                self.defn, self.defn.candidates[key], f"[candidates] {key}"
-            )
+            return _coefficient_form(self.defn.chart, self.defn.candidates[key])
         return fm.d_coord(self.defn.chart, default_coord)
 
     def candidate_field(self, key: str, default_coord: str):
         if key in self.defn.candidates:
-            return _vector_field(
-                self.defn, self.defn.candidates[key], f"[candidates] {key}"
-            )
+            return fm.VectorField(self.defn.chart, tuple(self.defn.candidates[key]))
         return fm.VectorField.coordinate(self.defn.chart, default_coord)
 
     def section_record(self, section: bk.CoframeSection) -> Optional[bk.SectionReport]:
@@ -448,7 +423,7 @@ def cmd_check(runner: _Runner) -> None:
     elif kind == "section":
         runner.section_record(runner.build_section())
     else:  # tzitzeica seed: does h satisfy (ln h)_xy = h - h^-2
-        h = _body_expr(runner.defn, "h")
+        h = runner.defn.body["h"]
         residual = ex.sub(
             ex.differentiate(ex.differentiate(ex.ln(h), "x"), "y"),
             ex.sub(h, ex.pow_int(h, -2)),
@@ -594,12 +569,10 @@ def cmd_tzitzeica(runner: _Runner) -> None:
     runner.require_kind("tzitzeica")
     grid = _grid_from_args(runner.args)
     body = runner.defn.body
-    lam = _parse_float(body["lambda"], "[tzitzeica] lambda")
-    alpha0 = _parse_float(body["alpha0"], "[tzitzeica] alpha0")
-    beta0 = _parse_float(body["beta0"], "[tzitzeica] beta0")
-    h = _body_expr(runner.defn, "h")
     try:
-        result = pp.tzitzeica_propagate(h, lam, alpha0, beta0, grid)
+        result = pp.tzitzeica_propagate(
+            body["h"], body["lambda"], body["alpha0"], body["beta0"], grid
+        )
     except pp.PropagationError as err:
         runner.records.append(_record("propagation", "error", witness=str(err)))
         return

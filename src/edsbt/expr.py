@@ -3,17 +3,18 @@ evaluation, and randomized identity testing.
 
 Expressions are immutable trees over a fixed vocabulary (rational constants,
 chart variables, named parameters, arithmetic, integer powers, and the
-functions sin, cos, tan, exp, ln, sqrt, atan).  There is no general
+functions sin, cos, tan, exp, ln, sqrt, atan).  Nodes are interned, so equal
+trees are the same object and share their subtrees.  There is no general
 simplifier: identities are certified numerically by `equiv_random`, which
 samples a box and compares values against a relative tolerance.  Construction
-performs constant folding only, so differentiation stays exact and trees stay
-structurally comparable.
+performs constant folding only, so differentiation stays exact.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -55,12 +56,53 @@ class SamplingError(RuntimeError):
 
 Numeric = Union[int, Fraction]
 
+# every live node, keyed by (class, *field values); see Expr.__new__
+_NODES = weakref.WeakValueDictionary()
+
 
 class Expr:
     """Base node.  Subclasses are Const, Var, Param, Add, Sub, Mul, Div,
-    Pow, Neg, Func."""
+    Pow, Neg, Func.
 
-    __slots__ = ("_hash", "_names")
+    Nodes are interned: constructing a node equal to a live one returns that
+    node, so equal expressions are the same object and equality and hashing
+    are identity.  Nodes are immutable.  `_fields` names the constructor
+    arguments in order.
+    """
+
+    __slots__ = ("_names", "__weakref__")
+    _fields: tuple = ()
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments")
+        args = cls._normalize(*args)
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    @staticmethod
+    def _normalize(*args) -> tuple:
+        return args
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        # a node is shared by every tree that holds it
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the interning constructor
+        return type(self), self._args()
 
     # + - * / are attached after the folding constructors, see _operator
     def __neg__(self):
@@ -78,7 +120,9 @@ class Expr:
         return got
 
     def _compute_names(self) -> frozenset:
-        raise NotImplementedError
+        return frozenset().union(
+            *(arg.names() for arg in self._args() if isinstance(arg, Expr))
+        )
 
     def __repr__(self):
         return f"<Expr {render(self)}>"
@@ -104,34 +148,17 @@ def as_expr(value, variables: Iterable[str], parameters: Iterable[str] = ()) -> 
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
 
-    def __init__(self, value: Numeric):
-        object.__setattr__(self, "value", Fraction(value))
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("Const", self.value))
-
-    def _compute_names(self):
-        return frozenset()
+    @staticmethod
+    def _normalize(value: Numeric) -> tuple:
+        return (Fraction(value),)
 
 
 class Var(Expr):
     """Chart coordinate."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Var", self.name))
+    __slots__ = _fields = ("name",)
 
     def _compute_names(self):
         return frozenset((self.name,))
@@ -140,41 +167,15 @@ class Var(Expr):
 class Param(Expr):
     """Named parameter (constant under differentiation)."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        return isinstance(other, Param) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Param", self.name))
+    __slots__ = _fields = ("name",)
 
     def _compute_names(self):
         return frozenset((self.name,))
 
 
 class _Binary(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
     op = "?"
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.left, self.right))
-
-    def _compute_names(self):
-        return self.left.names() | self.right.names()
 
 
 class Add(_Binary):
@@ -200,63 +201,25 @@ class Div(_Binary):
 class Pow(Expr):
     """Integer power; the exponent is a plain int, never an expression."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", int(exponent))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.base == other.base
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash(("Pow", self.base, self.exponent))
-
-    def _compute_names(self):
-        return self.base.names()
+    @staticmethod
+    def _normalize(base: Expr, exponent: int) -> tuple:
+        return base, int(exponent)
 
 
 class Neg(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.child == other.child
-
-    def __hash__(self):
-        return hash(("Neg", self.child))
-
-    def _compute_names(self):
-        return self.child.names()
+    __slots__ = _fields = ("child",)
 
 
 class Func(Expr):
-    __slots__ = ("name", "arg")
+    __slots__ = _fields = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expr):
+    @staticmethod
+    def _normalize(name: str, arg: Expr) -> tuple:
         if name not in FUNCTIONS:
             raise ExprError(f"unknown function '{name}'")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Func)
-            and self.name == other.name
-            and self.arg == other.arg
-        )
-
-    def __hash__(self):
-        return hash(("Func", self.name, self.arg))
-
-    def _compute_names(self):
-        return self.arg.names()
+        return name, arg
 
 
 ZERO = Const(0)
@@ -275,11 +238,11 @@ def _is_const(e: Expr, value=None) -> bool:
 
 def _comm_equal(a: Expr, b: Expr) -> bool:
     # equality up to swapping the operands of one top-level Add/Mul
-    if a == b:
+    if a is b:
         return True
     if type(a) is not type(b) or not isinstance(a, (Add, Mul)):
         return False
-    return a.left == b.right and a.right == b.left
+    return a.left is b.right and a.right is b.left
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -394,6 +357,11 @@ def func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
+# the folding constructor of each composite node class, by which
+# substitute rebuilds a node from its fields
+_FOLD = {Add: add, Sub: sub, Mul: mul, Div: div, Neg: neg, Pow: pow_int, Func: func}
+
+
 def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
     num = _isqrt_exact(q.numerator)
     den = _isqrt_exact(q.denominator)
@@ -497,22 +465,12 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if name not in e.names():
         return e
     if isinstance(e, (Var, Param)):
-        return replacement if e.name == name else e
-    if isinstance(e, Add):
-        return add(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Sub):
-        return sub(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Mul):
-        return mul(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Div):
-        return div(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Neg):
-        return neg(substitute(e.child, name, replacement))
-    if isinstance(e, Pow):
-        return pow_int(substitute(e.base, name, replacement), e.exponent)
-    if isinstance(e, Func):
-        return func(e.name, substitute(e.arg, name, replacement))
-    return e
+        return replacement
+    args = (
+        substitute(arg, name, replacement) if isinstance(arg, Expr) else arg
+        for arg in e._args()
+    )
+    return _FOLD[type(e)](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +568,7 @@ def _level(e: Expr) -> int:
 
 
 def render(e: Expr) -> str:
-    """Serialize to the expression grammar; parse(render(e)) == e."""
+    """Serialize to the expression grammar; parse(render(e)) is e."""
     if isinstance(e, Const):
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -831,7 +789,7 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.guard <= 0:
+        if not self.guard > 0:  # NaN compares false, so it fails here
             raise ValueError("guard must be positive")
         for name, (lo, hi) in self.box.items():
             if not lo < hi:

@@ -57,6 +57,8 @@ class Chart:
         missing = [c for c in self.coords if c not in self.box]
         if missing:
             raise ValueError(f"box missing intervals for {missing}")
+        if not self.guard > 0:
+            raise ValueError("guard must be positive")
 
     @property
     def dim(self) -> int:

@@ -324,14 +324,12 @@ def bt_propagate(
         raise PropagationError("propagated state diverged on the grid")
 
     compat = _bt_compatibility(
-        F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard, bracket
+        F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard
     )
     return BTPropagation(Field(grid, vals), compat)
 
 
-def _bt_compatibility(
-    F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard, bracket
-):
+def _bt_compatibility(F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard):
     X, Y = grid.mesh()
     env = dict(params)
     env["x"] = X
@@ -353,14 +351,19 @@ def _bt_compatibility(
             raise RootSolveError("|F_p| fell inside the guard on the grid")
         Pgrid = (target - np.asarray(ex.evaluate(f0, env), dtype=float)) / slope
     else:
-        Pgrid = _vector_solve_p(F, Fp, env, target, grid, vals, guard, bracket)
+        Pgrid = _vector_solve_p(F, Fp, env, target, grid, vals, guard)
+    return _cross_residual(Pgrid, Qgrid, grid)
 
-    dy_P = (Pgrid[2:, 1:-1] - Pgrid[:-2, 1:-1]) / (2 * grid.hy)
-    dx_Q = (Qgrid[1:-1, 2:] - Qgrid[1:-1, :-2]) / (2 * grid.hx)
+
+def _cross_residual(P, Q, grid) -> float:
+    """max |P_y - Q_x| over the interior nodes, by central differences: the
+    cross-derivative test of u_x = P, u_y = Q."""
+    dy_P = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2 * grid.hy)
+    dx_Q = (Q[1:-1, 2:] - Q[1:-1, :-2]) / (2 * grid.hx)
     return float(np.max(np.abs(dy_P - dx_Q)))
 
 
-def _vector_solve_p(F, Fp, env, target, grid, vals, guard, bracket):
+def _vector_solve_p(F, Fp, env, target, grid, vals, guard):
     # elementwise Newton, warm-started from the finite-difference slope
     p = np.gradient(vals, grid.hx, axis=1)
     tol = 1e-12 * (1.0 + np.abs(target))
@@ -523,21 +526,12 @@ def tzitzeica_propagate(
     ay_rhs = H - A * B
     bx_rhs = H - A * B
     by_rhs = (HY * B + A / lam) / H - B * B
-    hx2, hy2 = 2 * grid.hx, 2 * grid.hy
-    compat_a = np.abs(
-        (ax_rhs[2:, 1:-1] - ax_rhs[:-2, 1:-1]) / hy2
-        - (ay_rhs[1:-1, 2:] - ay_rhs[1:-1, :-2]) / hx2
-    )
-    compat_b = np.abs(
-        (bx_rhs[2:, 1:-1] - bx_rhs[:-2, 1:-1]) / hy2
-        - (by_rhs[1:-1, 2:] - by_rhs[1:-1, :-2]) / hx2
-    )
     return TzitzeicaPropagation(
         alpha=Field(grid, A),
         beta=Field(grid, B),
         h_prime=Field(grid, h_prime, singular=mask if mask.any() else None),
-        alpha_compatibility=float(np.max(compat_a)),
-        beta_compatibility=float(np.max(compat_b)),
+        alpha_compatibility=_cross_residual(ax_rhs, ay_rhs, grid),
+        beta_compatibility=_cross_residual(bx_rhs, by_rhs, grid),
         singular_count=int(mask.sum()),
     )
 
@@ -690,6 +684,8 @@ def read_field_csv(path: str) -> Field:
             if len(parts) != nx:
                 raise ValueError(f"row {j} has {len(parts)} values, expected {nx}")
             rows.append([float(s) for s in parts])
+        if fh.read().strip():
+            raise ValueError(f"data after the {ny} declared rows")
     vals = np.array(rows, dtype=float)
     mask = ~np.isfinite(vals)
     return Field(grid, vals, singular=mask if mask.any() else None)

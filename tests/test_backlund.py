@@ -112,6 +112,27 @@ class TestBuildWavelike:
         assert any(math.isnan(v) for v in values[1:])
         assert bk._sampled_min(e, spec) == 0.0
 
+    def test_redrawn_fit_sample_leaves_nothing_behind(self, monkeypatch):
+        # the correction candidate is evaluated after the fit's solve; a
+        # DomainError there redraws the sample, whose residual and ratio
+        # must not stay behind
+        ch = sg_chart()
+        F = ch.parse("2*p + 2*lam*sin((u + v)/2)")
+        candidate = ex.div(ex.differentiate(F, "v"), ex.differentiate(F, "p"))
+        evaluate = ex.evaluate
+        raised = []
+
+        def flaky(e, env, guard=None):
+            if e == candidate and not raised:
+                raised.append(e)
+                raise ex.DomainError("injected")
+            return evaluate(e, env, guard)
+
+        monkeypatch.setattr(ex, "evaluate", flaky)
+        bt = bk.build_wavelike(F, SG_G, ch, ch.sample_spec(count=24))
+        assert raised
+        assert bt.report.c2_sign == 1
+
 
 def explicit_sg_section(ch):
     """The adapted section written out in closed form."""

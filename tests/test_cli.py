@@ -147,6 +147,8 @@ class TestDefinitionParsing:
             lambda t: t.replace("G = -q + (2/lam)*sin((u - v)/2)\n", ""),  # missing G
             lambda t: t + "\n[spec]\nsamples = few\n",
             lambda t: t.replace("F = p + 2*lam*sin((u + v)/2)", "F = p + 2*lam*sin((u + w)/2)"),  # unknown name
+            lambda t: t + "\n[spec]\nguard = nan\n",
+            lambda t: t + "\n[spec]\nguard = -1\n",
         ],
     )
     def test_malformed_definitions(self, tmp_path, mangle):

@@ -1,11 +1,16 @@
+import copy
+import dataclasses
+import gc
 import math
 import operator
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edsbt import expr
+from edsbt import backlund, expr
 from edsbt.expr import (
     Const,
     DomainError,
@@ -361,3 +366,67 @@ def test_substitute_basic():
     got = expr.substitute(e, "p", Const(0))
     spec = SampleSpec(box={"u": (-1, 1)})
     assert equiv_random(got, P("u"), spec).ok
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def _same_tree(a, b):
+    """Structural equality over `_fields`, the oracle for interning."""
+    if type(a) is not type(b):
+        return False
+    for name in a._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if not (_same_tree(x, y) if isinstance(x, expr.Expr) else x == y):
+            return False
+    return True
+
+
+def _rebuild(e):
+    """A copy of `e` built bottom-up through the raw node constructors."""
+    args = (getattr(e, name) for name in e._fields)
+    return type(e)(*(_rebuild(a) if isinstance(a, expr.Expr) else a for a in args))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(exprs, exprs)
+def test_identity_is_structural_equality(a, b):
+    assert (a is b) == _same_tree(a, b)
+    assert _rebuild(a) is a
+    assert parse(render(a), ["x", "y", "u"], ["lambda"]) is a
+
+
+def test_copies_and_pickles_return_the_interned_node():
+    e = P("p^2/lambda + sin(u)^-1")
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_asdict_of_a_build_report():
+    chart = backlund.b_chart(params={"lam": 1.0})
+    bt = backlund.build_wavelike(
+        "p + 2*lam*sin((u+v)/2)", "-q + (2/lam)*sin((u-v)/2)", chart,
+        chart.sample_spec(count=8),
+    )
+    got = dataclasses.asdict(bt.report)
+    assert got["c2"] is bt.report.c2
+    assert got["df_residual"]["ok"] == bt.report.df_residual.ok
+
+
+def test_nodes_are_immutable():
+    e = Const(1)
+    with pytest.raises(AttributeError):
+        e.value = 2
+    with pytest.raises(AttributeError):
+        del e.value
+    assert e.value == 1
+
+
+def test_unshared_node_is_released():
+    e = P("u^7 + 12345/677")
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None

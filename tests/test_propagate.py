@@ -482,6 +482,14 @@ class TestFieldCSV:
         with pytest.raises(ValueError):
             pp.read_field_csv(path)
 
+    def test_rows_after_the_declared_ones_rejected(self, tmp_path):
+        path = str(tmp_path / "long.csv")
+        with open(path, "w") as fh:
+            fh.write("# grid nx=3 ny=2 x0=0.0 x1=1.0 y0=0.0 y1=1.0\n")
+            fh.write("0.0,0.0,0.0\n0.0,0.0,0.0\n9.0,9.0,9.0\n")
+        with pytest.raises(ValueError):
+            pp.read_field_csv(path)
+
     def test_column_count_checked(self, tmp_path):
         path = str(tmp_path / "ragged.csv")
         with open(path, "w") as fh:
