@@ -193,6 +193,7 @@ def parse_definition(path: str) -> SystemDefinition:
                 raise DefinitionError(
                     f"{path}: [spec] {key} is not a {cast.__name__}"
                 ) from None
+    _sample_spec(chart, spec_overrides, path)
     return SystemDefinition(
         chart=chart,
         kind=kind,
@@ -200,6 +201,19 @@ def parse_definition(path: str) -> SystemDefinition:
         candidates=candidates,
         spec_overrides=spec_overrides,
     )
+
+
+def _sample_spec(chart: fm.Chart, overrides: dict, where: str) -> ex.SampleSpec:
+    """The sampling policy of a run; a count, tolerance or chart interval
+    that it rejects is a usage error."""
+    try:
+        return chart.sample_spec(
+            count=overrides.get("samples", 64),
+            tolerance=overrides.get("tol", 1e-9),
+            seed=overrides.get("seed", 0),
+        )
+    except ValueError as err:
+        raise DefinitionError(f"{where}: {err}") from None
 
 
 def _parse_expressions(chart, kind, body, candidates, path):
@@ -294,12 +308,7 @@ class _Runner:
                     raise DefinitionError(
                         f"EDSBT_SEED is not an integer: {env_seed!r}"
                     ) from None
-        self.samples = overrides.get("samples", 64)
-        self.tol = overrides.get("tol", 1e-9)
-        self.seed = overrides.get("seed", 0)
-        self.spec = self.defn.chart.sample_spec(
-            count=self.samples, tolerance=self.tol, seed=self.seed
-        )
+        self.spec = _sample_spec(self.defn.chart, overrides, "bad --samples/--tol")
         self.records: list = []
         self.extras: dict = {}
         self.notes: list = []
@@ -371,9 +380,9 @@ class _Runner:
             "input": self.args.file,
             "input_digest": _digest(self.args.file),
             "kind": self.defn.kind,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
+            "samples": self.spec.count,
+            "tol": self.spec.tolerance,
+            "seed": self.spec.seed,
             "records": self.records,
             "notes": "; ".join(self.notes),
         }
@@ -454,7 +463,7 @@ def cmd_classify(runner: _Runner) -> None:
         bt, X, Y, runner.spec
     )
     runner.records.append(
-        _record("classification", "pass", samples=runner.samples)
+        _record("classification", "pass", samples=runner.spec.count)
     )
 
 

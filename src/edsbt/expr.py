@@ -12,6 +12,7 @@ performs constant folding only, so differentiation stays exact.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import weakref
@@ -791,21 +792,14 @@ class SampleSpec:
             raise ValueError("count must be >= 1")
         if not self.guard > 0:  # NaN compares false, so it fails here
             raise ValueError("guard must be positive")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
         for name, (lo, hi) in self.box.items():
             if not lo < hi:
                 raise ValueError(f"degenerate interval for '{name}'")
 
     def replace(self, **kw) -> "SampleSpec":
-        data = {
-            "box": self.box,
-            "params": self.params,
-            "count": self.count,
-            "seed": self.seed,
-            "guard": self.guard,
-            "tolerance": self.tolerance,
-        }
-        data.update(kw)
-        return SampleSpec(**data)
+        return dataclasses.replace(self, **kw)
 
 
 _MAX_REDRAWS = 80

@@ -6,25 +6,22 @@ the compatible ODE system
     u_x = F(x, y, u, v, v_x)        v_y = G(x, y, u, v, u_y)
 
 determines the companion solution v up to the single constant v(x0, y0).
-We march v along the base row y = y0 by solving the first relation for
-v_x (closed form when F is affine in v_x, safeguarded Newton otherwise)
-and integrating with classical fourth-order Runge-Kutta, then sweep each
-column upward with the explicit v_y relation.  Columns are decoupled
-once the base row is known, so the column sweep is vectorized across x.
+The (alpha, beta) system attached to solutions of (ln h)_xy = h - h^{-2}
+has the same form; its output h' = 2*alpha*beta - h solves that equation.
 
-The same marching scheme drives the (alpha, beta) system attached to
-solutions of (ln h)_xy = h - h^{-2}, whose output h' = 2*alpha*beta - h
-is a new solution of the same equation.
-
-Cross-derivative compatibility residuals quantify how far the two
-one-form relations are from closing into a genuine surface; they vanish
-to discretization accuracy exactly when the seed solves its PDE.
+Each system is written once, as right sides w_x = rhs_x(x, y, w) and
+w_y = rhs_y(x, y, w) over node arrays, and one march runs both: classical
+RK4 along the base row y = y0, then up every column at once.  rhs_x
+solves the first relation for v_x, in closed form when F is affine in
+v_x, else with one elementwise root solver (Newton, then bisection on a
+bracket where Newton fails).  Compatibility residuals difference the same
+right sides on the marched grid; they vanish to discretization accuracy
+exactly when the seed solves its PDE.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 import shutil
@@ -37,6 +34,9 @@ import numpy as np
 from . import expr as ex
 from .backlund import WavelikeBT
 from .expr import Expr
+
+# the smallest admissible |F_p|, |lam|, |h| and |h'|; [spec] guard is for sampling
+GUARD = 1e-6
 
 
 class PropagationError(RuntimeError):
@@ -141,7 +141,7 @@ def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta stepping
+# the march
 
 
 def _rk4_step(rhs, t, w, h):
@@ -150,6 +150,42 @@ def _rk4_step(rhs, t, w, h):
     k3 = rhs(t + h / 2, w + (h / 2) * k2)
     k4 = rhs(t + h, w + h * k3)
     return w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _march(rhs_x, rhs_y, start, grid: Grid) -> np.ndarray:
+    """March w_x = rhs_x(x, y, w) along y = y0 from w = `start` at (x0, y0),
+    then w_y = rhs_y(x, y, w) up every column at once.  Returns w at every
+    node, shaped start.shape + (ny, nx)."""
+    start = np.asarray(start, dtype=float)
+    xs, ys = grid.xs(), grid.ys()
+
+    def along_row(x, w):
+        return rhs_x(x, grid.y0, w)
+
+    def up_columns(y, w):
+        return rhs_y(xs, y, w)
+
+    # node-major, so that row[i] of a scalar state is a numpy scalar
+    row = np.empty((grid.nx,) + start.shape)
+    row[0] = start
+    for i in range(grid.nx - 1):
+        row[i + 1] = _rk4_step(along_row, xs[i], row[i], grid.hx)
+    W = np.empty(start.shape + (grid.ny, grid.nx))
+    W[..., 0, :] = np.moveaxis(row, 0, -1)
+    for j in range(grid.ny - 1):
+        W[..., j + 1, :] = _rk4_step(up_columns, ys[j], W[..., j, :], grid.hy)
+    if not np.all(np.isfinite(W)):
+        raise PropagationError("propagated state diverged on the grid")
+    return W
+
+
+def _cross_residual(P, Q, grid) -> float:
+    """max |P_y - Q_x| over the interior nodes, by central differences: the
+    cross-derivative test of u_x = P, u_y = Q."""
+    P, Q = (np.broadcast_to(a, (grid.ny, grid.nx)) for a in (P, Q))
+    dy_P = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2 * grid.hy)
+    dx_Q = (Q[1:-1, 2:] - Q[1:-1, :-2]) / (2 * grid.hx)
+    return float(np.max(np.abs(dy_P - dx_Q)))
 
 
 def _fixed_params(chart) -> dict:
@@ -164,65 +200,75 @@ def _fixed_params(chart) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scalar root solve for the v_x relation
+# root solve for the v_x relation; [()] makes a 0-d result a numpy scalar,
+# since numpy's array loops may round a power unlike its scalar arithmetic
 
 
-def _bisect(residual, lo, hi):
-    rlo = residual(lo)
-    rhi = residual(hi)
-    if rlo == 0.0:
-        return lo
-    if rhi == 0.0:
-        return hi
-    if math.copysign(1.0, rlo) == math.copysign(1.0, rhi):
-        raise RootSolveError(
-            f"bracket [{lo}, {hi}] does not straddle a root of the v_x relation"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        rm = residual(mid)
-        if rm == 0.0 or (hi - lo) < 1e-15 * (1.0 + abs(mid)):
-            return mid
-        if math.copysign(1.0, rm) == math.copysign(1.0, rlo):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve_p(F, Fp, env, target, guard, bracket, start):
-    """Solve F(..., p) = target for p: Newton from `start`, bisection on
-    `bracket` when Newton stalls or escapes it."""
+def _solve_p(F, Fp, env, target, start, bracket):
+    """Solve F(..., p) = target for p at every node: Newton from `start`,
+    then bisection on `bracket` at each node where Newton stalls
+    (|F_p| < GUARD), leaves the bracket or runs out of steps."""
 
     def residual(p):
         env["p"] = p
         return ex.evaluate(F, env) - target
 
-    tol = 1e-12 * (1.0 + abs(target))
-    p = float(start)
+    lo, hi = (-np.inf, np.inf) if bracket is None else bracket
+    tol = 1e-12 * (1.0 + np.abs(target))
+    shape = np.broadcast_shapes(np.shape(target), np.shape(start))
+    p = np.broadcast_to(np.asarray(start, dtype=float), shape)[()]
+    newton = np.ones(shape, dtype=bool)  # nodes Newton still moves
+    failed = np.zeros(shape, dtype=bool)  # nodes left to bisection
     for _ in range(60):
         r = residual(p)
-        if abs(r) <= tol:
-            return p
-        env["p"] = p
+        newton &= ~(np.abs(r) <= tol)
+        if not newton.any():
+            break
         d = ex.evaluate(Fp, env)
-        if abs(d) < guard:
-            break
-        step = r / d
-        p_next = p - step
-        if bracket is not None and not (bracket[0] <= p_next <= bracket[1]):
-            break
-        if p_next == p:
-            return p
-        p = p_next
+        stalled = newton & (np.abs(d) < GUARD)
+        newton &= ~stalled
+        p_next = p - r / np.where(newton, d, 1.0)
+        escaped = newton & ~((lo <= p_next) & (p_next <= hi))
+        failed |= stalled | escaped
+        newton &= ~escaped & (p_next != p)  # a fixed point of the step is a root
+        p = np.where(newton, p_next, p)[()]
+    failed |= newton
+    if not failed.any():
+        return p
     if bracket is None:
         raise RootSolveError(
             "Newton iteration for the v_x relation failed and no bracket was given"
         )
-    p = _bisect(residual, float(bracket[0]), float(bracket[1]))
-    if abs(residual(p)) > 1e-8 * (1.0 + abs(target)):
+    root = _bisect(residual, failed, float(lo), float(hi))
+    if np.any(failed & (np.abs(residual(root)) > 1e-8 * (1.0 + np.abs(target)))):
         raise RootSolveError("bisection did not converge for the v_x relation")
-    return p
+    return np.where(failed, root, p)[()]
+
+
+def _bisect(residual, nodes, lo, hi):
+    """Bisect `residual` on [lo, hi] at the nodes selected by the mask
+    `nodes`; the other entries of the result are meaningless."""
+    rlo, rhi = residual(lo), residual(hi)
+    one_signed = np.copysign(1.0, rlo) == np.copysign(1.0, rhi)
+    if np.any(nodes & one_signed & (rlo != 0.0) & (rhi != 0.0)):
+        raise RootSolveError(
+            f"bracket [{lo}, {hi}] does not straddle a root of the v_x relation"
+        )
+    lo, hi = (np.full(np.shape(nodes), end)[()] for end in (lo, hi))
+    root = np.where(rlo == 0.0, lo, hi)[()]
+    open_ = nodes & (rlo != 0.0) & (rhi != 0.0)
+    for _ in range(200):
+        if not open_.any():
+            return root
+        mid = 0.5 * (lo + hi)
+        rm = residual(mid)
+        done = open_ & ((rm == 0.0) | ((hi - lo) < 1e-15 * (1.0 + np.abs(mid))))
+        root = np.where(done, mid, root)[()]
+        open_ &= ~done
+        up = open_ & (np.copysign(1.0, rm) == np.copysign(1.0, rlo))
+        lo, rlo = np.where(up, mid, lo)[()], np.where(up, rm, rlo)[()]
+        hi = np.where(open_ & ~up, mid, hi)[()]
+    return np.where(open_, 0.5 * (lo + hi), root)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +297,7 @@ def _affine_split(F: Expr):
 
 
 def bt_propagate(
-    bt: WavelikeBT,
-    seed,
-    v0: float,
-    grid: Grid,
-    bracket: Optional[tuple] = None,
-    guard: float = 1e-6,
+    bt: WavelikeBT, seed, v0: float, grid: Grid, bracket: Optional[tuple] = None
 ) -> BTPropagation:
     """Integrate the companion solution v from the corner value v0.
 
@@ -266,122 +307,42 @@ def bt_propagate(
     """
     params = _fixed_params(bt.chart)
     seed = ex.as_expr(seed, ("x", "y"), tuple(params))
-    F, G = bt.F, bt.G
-    Fp = bt.fp
     ux_e = ex.differentiate(seed, "x")
     uy_e = ex.differentiate(seed, "y")
-    split = _affine_split(F)
+    split = _affine_split(bt.F)
 
-    def scalar_env(xv, yv, vv):
-        env = dict(params)
-        env["x"] = xv
-        env["y"] = yv
+    def env_at(x, y, v):  # the one environment both right sides read
+        env = dict(params, x=x, y=y)
         env["u"] = ex.evaluate(seed, env)
-        env["v"] = vv
+        env["v"] = v
         return env
 
+    def v_x(env, start):
+        target = ex.evaluate(ux_e, env)
+        if split is None:
+            return _solve_p(bt.F, bt.fp, env, target, start, bracket)
+        f0, f1 = split
+        slope = ex.evaluate(f1, env)
+        if np.min(np.abs(slope)) < GUARD:
+            raise RootSolveError(f"|F_p| < {GUARD} where v_x is solved for")
+        return (target - ex.evaluate(f0, env)) / slope
+
+    def v_y(env):
+        env["q"] = ex.evaluate(uy_e, env)
+        return ex.evaluate(bt.G, env)
+
+    # along the base row, Newton starts from the previous root
     last_p = 0.0 if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
-    def p_rhs(xv, vv):
+    def rhs_x(x, y, v):
         nonlocal last_p
-        env = scalar_env(xv, grid.y0, vv)
-        target = ex.evaluate(ux_e, env)
-        if split is not None:
-            f0, f1 = split
-            slope = ex.evaluate(f1, env)
-            if abs(slope) < guard:
-                raise RootSolveError(f"|F_p| < {guard} at x={xv}, base row")
-            p = (target - ex.evaluate(f0, env)) / slope
-        else:
-            p = _solve_p(F, Fp, env, target, guard, bracket, last_p)
-        last_p = p
-        return p
+        last_p = v_x(env_at(x, y, v), last_p)
+        return last_p
 
-    # base row: v(x, y0)
-    xs = grid.xs()
-    base = np.empty(grid.nx)
-    base[0] = float(v0)
-    for i in range(grid.nx - 1):
-        base[i + 1] = _rk4_step(p_rhs, xs[i], base[i], grid.hx)
-
-    # column sweep: explicit v_y relation, vectorized across x
-    def q_rhs(yv, vrow):
-        env = dict(params)
-        env["x"] = xs
-        env["y"] = yv
-        env["u"] = ex.evaluate(seed, env)
-        env["v"] = vrow
-        env["q"] = ex.evaluate(uy_e, env)
-        out = ex.evaluate(G, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), vrow.shape)
-
-    ys = grid.ys()
-    vals = np.empty((grid.ny, grid.nx))
-    vals[0] = base
-    for j in range(grid.ny - 1):
-        vals[j + 1] = _rk4_step(q_rhs, ys[j], vals[j], grid.hy)
-    if not np.all(np.isfinite(vals)):
-        raise PropagationError("propagated state diverged on the grid")
-
-    compat = _bt_compatibility(
-        F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard
-    )
-    return BTPropagation(Field(grid, vals), compat)
-
-
-def _bt_compatibility(F, G, Fp, split, seed, ux_e, uy_e, params, grid, vals, guard):
-    X, Y = grid.mesh()
-    env = dict(params)
-    env["x"] = X
-    env["y"] = Y
-    env["u"] = np.broadcast_to(
-        np.asarray(ex.evaluate(seed, env), dtype=float), X.shape
-    )
-    env["v"] = vals
-    env["q"] = np.broadcast_to(
-        np.asarray(ex.evaluate(uy_e, env), dtype=float), X.shape
-    )
-    Qgrid = np.broadcast_to(np.asarray(ex.evaluate(G, env), dtype=float), X.shape)
-    target = np.broadcast_to(np.asarray(ex.evaluate(ux_e, env), dtype=float), X.shape)
-
-    if split is not None:
-        f0, f1 = split
-        slope = np.broadcast_to(np.asarray(ex.evaluate(f1, env), dtype=float), X.shape)
-        if np.min(np.abs(slope)) < guard:
-            raise RootSolveError("|F_p| fell inside the guard on the grid")
-        Pgrid = (target - np.asarray(ex.evaluate(f0, env), dtype=float)) / slope
-    else:
-        Pgrid = _vector_solve_p(F, Fp, env, target, grid, vals, guard)
-    return _cross_residual(Pgrid, Qgrid, grid)
-
-
-def _cross_residual(P, Q, grid) -> float:
-    """max |P_y - Q_x| over the interior nodes, by central differences: the
-    cross-derivative test of u_x = P, u_y = Q."""
-    dy_P = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2 * grid.hy)
-    dx_Q = (Q[1:-1, 2:] - Q[1:-1, :-2]) / (2 * grid.hx)
-    return float(np.max(np.abs(dy_P - dx_Q)))
-
-
-def _vector_solve_p(F, Fp, env, target, grid, vals, guard):
-    # elementwise Newton, warm-started from the finite-difference slope
-    p = np.gradient(vals, grid.hx, axis=1)
-    tol = 1e-12 * (1.0 + np.abs(target))
-    for _ in range(80):
-        env["p"] = p
-        r = np.asarray(ex.evaluate(F, env), dtype=float) - target
-        done = np.abs(r) <= tol
-        if done.all():
-            return p
-        d = np.broadcast_to(
-            np.asarray(ex.evaluate(Fp, env), dtype=float), p.shape
-        ).copy()
-        bad = (np.abs(d) < guard) & ~done
-        if bad.any():
-            raise RootSolveError("|F_p| fell inside the guard on the grid")
-        d[done] = 1.0
-        p = np.where(done, p, p - r / d)
-    raise RootSolveError("elementwise Newton did not converge on the grid")
+    V = _march(rhs_x, lambda x, y, v: v_y(env_at(x, y, v)), v0, grid)
+    env = env_at(*grid.mesh(), V)
+    P = v_x(env, np.gradient(V, grid.hx, axis=1) if split is None else None)
+    return BTPropagation(Field(grid, V), _cross_residual(P, v_y(env), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +404,7 @@ class TzitzeicaPropagation:
 
 
 def tzitzeica_propagate(
-    h,
-    lam: float,
-    alpha0: float,
-    beta0: float,
-    grid: Grid,
-    guard: float = 1e-6,
+    h, lam: float, alpha0: float, beta0: float, grid: Grid
 ) -> TzitzeicaPropagation:
     """March the auxiliary (alpha, beta) system and emit h' = 2*alpha*beta - h.
 
@@ -458,90 +414,56 @@ def tzitzeica_propagate(
         beta_x  = h - alpha beta                        beta_y  = (h_y beta + alpha/lam)/h - beta^2
 
     integrated along the base row and then up the columns.  Nodes where
-    |h'| < guard are flagged singular rather than treated as failures.
+    |h'| < GUARD are flagged singular rather than treated as failures.
     """
     h = ex.as_expr(h, ("x", "y"))
     lam = float(lam)
-    if abs(lam) < guard:
+    if abs(lam) < GUARD:
         raise PropagationError("lam must be bounded away from zero")
     hx_e = ex.differentiate(h, "x")
     hy_e = ex.differentiate(h, "y")
 
-    def h_values(xv, yv, e=h):
-        out = np.asarray(ex.evaluate(e, {"x": xv, "y": yv}), dtype=float)
-        return out
+    def at(e, x, y):
+        return np.asarray(ex.evaluate(e, {"x": x, "y": y}), dtype=float)
 
-    def h_checked(xv, yv):
-        out = h_values(xv, yv)
-        if np.min(np.abs(out)) < guard:
-            raise PropagationError("seed |h| fell inside the guard on the path")
-        return out
+    def h_at(x, y):
+        hv = at(h, x, y)
+        if np.min(np.abs(hv)) < GUARD:
+            raise PropagationError("seed |h| fell inside the guard")
+        return hv
 
-    def row_rhs(xv, state):
-        a, b = state
-        hv = h_checked(xv, grid.y0)
-        hxv = h_values(xv, grid.y0, hx_e)
-        return np.array(
-            [(hxv * a + lam * b) / hv - a * a, hv - a * b]
-        )
+    def w_x(x, y, w, hv):  # hv = h at the nodes, shared with w_y
+        a, b = w
+        return np.stack([(at(hx_e, x, y) * a + lam * b) / hv - a * a, hv - a * b])
 
-    def col_rhs(yv, state):
-        a, b = state
-        hv = h_checked(xs, yv)
-        hyv = h_values(xs, yv, hy_e)
-        da = hv - a * b
-        db = (hyv * b + a / lam) / hv - b * b
-        return np.stack(
-            [np.broadcast_to(da, a.shape), np.broadcast_to(db, b.shape)]
-        )
+    def w_y(x, y, w, hv):
+        a, b = w
+        return np.stack([hv - a * b, (at(hy_e, x, y) * b + a / lam) / hv - b * b])
 
-    xs = grid.xs()
-    ys = grid.ys()
-    base = np.empty((2, grid.nx))
-    base[:, 0] = (float(alpha0), float(beta0))
-    for i in range(grid.nx - 1):
-        base[:, i + 1] = _rk4_step(row_rhs, xs[i], base[:, i], grid.hx)
-
-    A = np.empty((grid.ny, grid.nx))
-    B = np.empty((grid.ny, grid.nx))
-    A[0], B[0] = base
-    state = base.copy()
-    for j in range(grid.ny - 1):
-        state = _rk4_step(col_rhs, ys[j], state, grid.hy)
-        A[j + 1], B[j + 1] = state
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise PropagationError("auxiliary state diverged on the grid")
-
+    W = _march(lambda x, y, w: w_x(x, y, w, h_at(x, y)),
+               lambda x, y, w: w_y(x, y, w, h_at(x, y)), (alpha0, beta0), grid)
     X, Y = grid.mesh()
-    H = np.broadcast_to(h_values(X, Y), X.shape)
-    if np.min(np.abs(H)) < guard:
-        raise PropagationError("seed |h| fell inside the guard on the grid")
-    HX = np.broadcast_to(h_values(X, Y, hx_e), X.shape)
-    HY = np.broadcast_to(h_values(X, Y, hy_e), X.shape)
+    H = h_at(X, Y)
+    P, Q = w_x(X, Y, W, H), w_y(X, Y, W, H)
+    A, B = W
     h_prime = 2.0 * A * B - H
-    mask = np.abs(h_prime) < guard
-
-    # compatibility: both mixed partials of each state variable must agree
-    ax_rhs = (HX * A + lam * B) / H - A * A
-    ay_rhs = H - A * B
-    bx_rhs = H - A * B
-    by_rhs = (HY * B + A / lam) / H - B * B
+    mask = np.abs(h_prime) < GUARD
     return TzitzeicaPropagation(
         alpha=Field(grid, A),
         beta=Field(grid, B),
         h_prime=Field(grid, h_prime, singular=mask if mask.any() else None),
-        alpha_compatibility=_cross_residual(ax_rhs, ay_rhs, grid),
-        beta_compatibility=_cross_residual(bx_rhs, by_rhs, grid),
+        alpha_compatibility=_cross_residual(P[0], Q[0], grid),
+        beta_compatibility=_cross_residual(P[1], Q[1], grid),
         singular_count=int(mask.sum()),
     )
 
 
-def tzitzeica_residual(h_prime: Field, guard: float = 1e-6) -> ResidualReport:
+def tzitzeica_residual(h_prime: Field) -> ResidualReport:
     """max and mean of |(ln h')_xy - h' + h'^{-2}| over interior nodes whose
     logarithm stencil avoids singular or nonpositive values."""
     grid = h_prime.grid
     vals = h_prime.values
-    ok = np.isfinite(vals) & (vals > guard)
+    ok = np.isfinite(vals) & (vals > GUARD)
     if h_prime.singular is not None:
         ok &= ~h_prime.singular
     L = np.where(ok, np.log(np.where(ok, vals, 1.0)), np.nan)
@@ -568,6 +490,8 @@ def tzitzeica_residual(h_prime: Field, guard: float = 1e-6) -> ResidualReport:
         nodes=count,
         excluded=total - count,
     )
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,9 @@ class TestDefinitionParsing:
             lambda t: t.replace("F = p + 2*lam*sin((u + v)/2)", "F = p + 2*lam*sin((u + w)/2)"),  # unknown name
             lambda t: t + "\n[spec]\nguard = nan\n",
             lambda t: t + "\n[spec]\nguard = -1\n",
+            lambda t: t + "\n[spec]\nsamples = 0\n",
+            lambda t: t + "\n[spec]\ntol = nan\n",
+            lambda t: t.replace("x = -1.5, 1.5", "x = 1.5, -1.5"),  # degenerate interval
         ],
     )
     def test_malformed_definitions(self, tmp_path, mangle):
@@ -187,6 +190,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.main(["propagate", "whatever.def"])  # missing required flags
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [("--samples", "0"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")]
+    )
+    def test_bad_sampling_flag_is_two(self, tmp_path, capsys, flags):
+        code, report = run(capsys, "check", write_def(tmp_path, SG_DEF), *flags)
+        assert code == 2
+        assert report is None
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:

@@ -193,6 +193,36 @@ class TestBTPropagate:
         assert np.max(np.abs(res.v.values - (0.5 + root * X))) < 1e-9
         assert res.compatibility_residual <= 1e-9
 
+    def test_two_soliton_from_permutability(self):
+        # the lam = 1 kink as seed and lam2 = 2.2 give, by Bianchi
+        # permutability (Rogers & Schief, Backlund and Darboux
+        # Transformations, 2002), v = 4*atan(-(lam2+1)/(lam2-1)*tan((u1-u2)/4))
+        lam = 2.2
+        ch = bk.b_chart(params={"lam": lam})
+        bt = bk.build_wavelike(SG_F, SG_G, ch, ch.sample_spec(count=16))
+
+        def two_soliton(x, y):
+            u1 = 4 * np.arctan(np.exp(-(x + y)))
+            u2 = 4 * np.arctan(np.exp(-(lam * x + y / lam)))
+            return 4 * np.arctan(-((lam + 1) / (lam - 1)) * np.tan((u1 - u2) / 4))
+
+        grid = pp.Grid(201, 201, 0.0, 1.0, 0.0, 1.0)
+        v0 = float(two_soliton(0.0, 0.0))
+        res = pp.bt_propagate(bt, "4*atan(exp(-(x + y)))", v0, grid)
+        assert np.max(np.abs(res.v.values - two_soliton(*grid.mesh()))) <= 1e-9
+        # unlike the u = 0 kink, this residual shows the O(h^2) stencil defect
+        assert 0.0 < res.compatibility_residual <= 1e-3
+
+    def test_bisection_fallback_finds_the_root(self):
+        # from the bracket midpoint 30, Newton on atan(p) = 1.4 jumps to
+        # about -94, outside the bracket, so bisection finds p = tan(1.4)
+        ch = bk.b_chart()
+        bt = bk.build_wavelike("atan(p)", "-q", ch, ch.sample_spec(count=16))
+        grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
+        res = pp.bt_propagate(bt, "1.4*x", 0.0, grid, bracket=(-10.0, 70.0))
+        X, _ = grid.mesh()
+        assert np.max(np.abs(res.v.values - math.tan(1.4) * X)) <= 1e-12
+
     def test_root_solve_failure(self):
         # atan(p) never reaches u_x = 2
         ch = bk.b_chart()
