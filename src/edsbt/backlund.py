@@ -62,6 +62,24 @@ TORSION_SLOTS = {
     "C4": ("w4", (2, 3)),
 }
 
+# the three slot families as (row, column) index arrays into the (15, 6) slot
+# table: rows follow basis_tuples(6, 2), columns SECTION_LABELS
+_PAIRS = fm.basis_tuples(len(SECTION_LABELS), 2)
+_TABLE_SHAPE = (len(_PAIRS), len(SECTION_LABELS))
+
+
+def _slot_index(slots) -> np.ndarray:
+    return np.array([(_PAIRS.index(slot), SECTION_LABELS.index(lbl)) for lbl, slot in slots]).T
+
+
+_ZERO_KEYS = tuple((lbl, slot) for lbl in SECTION_LABELS for slot in ZERO_SLOTS[lbl])
+_ZERO_INDEX = _slot_index(_ZERO_KEYS)
+_NORMALIZATION_INDEX = _slot_index(NORMALIZATION_SLOTS.items())
+_TORSION_INDEX = _slot_index(TORSION_SLOTS.values())
+
+# check_normal's margin: |A1|, |A2| and |A1 A2 - 1| must exceed it
+NORMAL_GUARD = 1e-6
+
 
 class WavelikeBuildError(ValueError):
     """F/G violate a build precondition (shape or nonvanishing)."""
@@ -91,12 +109,12 @@ class AntiderivativeError(ValueError):
     """No symbolic u-antiderivative in the vocabulary; supply phi_u manually."""
 
 
-def b_chart(box=None, params=None, guard: float = 1e-6) -> Chart:
+def b_chart(box=None, params=None) -> Chart:
     """The six-coordinate chart (x, y, u, v, p, q) with a default box."""
     intervals = dict(box or {})
     for c in B_COORDS:
         intervals.setdefault(c, DEFAULT_INTERVAL)
-    return Chart(B_COORDS, intervals, params or {}, guard)
+    return Chart(B_COORDS, intervals, params or {})
 
 
 @dataclass(frozen=True)
@@ -146,14 +164,14 @@ class SectionReport:
         return max(self.structural_violation, self.normalization_violation) <= self.tolerance
 
 
-def _slot_table_at(section: CoframeSection, derivatives, pt: Point, guard):
-    """All six derivative expansions at one point: label -> 15-vector."""
+def _slot_table_at(section: CoframeSection, derivatives, pt: Point, guard) -> np.ndarray:
+    """The (15, 6) slot table at one point: column j expands the derivative
+    of the j-th coframe member (SECTION_LABELS order) in the coframe wedge
+    basis, rows in basis_tuples(6, 2) order.  The coframe is evaluated
+    first, then the derivatives."""
     S = fm.coframe_matrix_at(section.forms(), pt, guard)
-    V = np.stack(
-        [fm.coefficients_at(df, pt, guard) for df in derivatives], axis=1
-    )
-    X = fm.expand_in_coframe(S, V, 2)
-    return {label: X[:, j] for j, label in enumerate(SECTION_LABELS)}
+    V = fm.coefficient_matrix_at(derivatives, pt, guard)
+    return fm.expand_in_coframe(S, V, 2)
 
 
 def validate_section(section: CoframeSection,
@@ -161,52 +179,40 @@ def validate_section(section: CoframeSection,
     """Expand the derivative of each coframe member in the coframe wedge
     basis at samples and check the connection-free structure:
 
-    structural zeros per ZERO_SLOTS, and the two normalization slots
-    (d theta on w3^w4, d theta_bar on w1^w2) equal to 1.  A non-finite slot
-    reading counts as an infinite violation.  The report also carries the
-    torsion read from the same tables, at the validated points.
+    structural zeros per ZERO_SLOTS, relative to 1 + the largest slot of
+    their derivative, and the two normalization slots (d theta on w3^w4,
+    d theta_bar on w1^w2) equal to 1, read from the stacked (samples, 15, 6)
+    slot tables.  A non-finite slot reading counts as an infinite violation;
+    the witness is the first sample to reach the worst one.  The report
+    also carries the torsion read from the same tables.
 
     Raises NormalizationError / StructuralZeroError on failure, with the
     report attached to the exception.
     """
     spec = fm.resolve_spec(section.chart, spec)
     derivatives = section.derivatives()
-    index = fm.coefficient_index(section.chart, 2)
     collected = ex.sampled_collect(
         spec, lambda pt: _slot_table_at(section, derivatives, pt, spec.guard)
     )
-
-    zero_max = {(lbl, slot): 0.0 for lbl in SECTION_LABELS for slot in ZERO_SLOTS[lbl]}
-    norm_max = {lbl: 0.0 for lbl in NORMALIZATION_SLOTS}
-    worst = 0.0
-    witness = None
-    for pt, table in collected:
-        local = 0.0
-        for lbl in SECTION_LABELS:
-            row = table[lbl]
-            scale = 1.0 + float(np.max(np.abs(row)))
-            for slot in ZERO_SLOTS[lbl]:
-                v = ex.finite_or_inf(abs(float(row[index[slot]])) / scale)
-                zero_max[lbl, slot] = max(zero_max[lbl, slot], v)
-                local = max(local, v)
-        for lbl, slot in NORMALIZATION_SLOTS.items():
-            v = ex.finite_or_inf(abs(float(table[lbl][index[slot]]) - 1.0))
-            norm_max[lbl] = max(norm_max[lbl], v)
-            local = max(local, v)
-        if local > worst or witness is None:
-            worst = local
-            witness = pt
-    worst_zero = max(zero_max.values())
-    worst_norm = max(norm_max.values())
     points, tables = zip(*collected)
+    T = np.stack(tables)
+    rows, cols = _ZERO_INDEX
+    scale = 1.0 + np.max(np.abs(T), axis=1)[:, cols]
+    with np.errstate(invalid="ignore"):  # inf / inf reads as inf below
+        zero = ex.finite_or_inf(np.abs(T[:, rows, cols]) / scale)
+    rows, cols = _NORMALIZATION_INDEX
+    norm = ex.finite_or_inf(np.abs(T[:, rows, cols] - 1.0))
+    zero_max, norm_max = np.max(zero, axis=0), np.max(norm, axis=0)
+    worst_zero, worst_norm = float(np.max(zero_max)), float(np.max(norm_max))
+    per_sample = np.max(np.concatenate([zero, norm], axis=1), axis=1)
     report = SectionReport(
-        zero_slot_max=zero_max,
-        normalization_max=norm_max,
+        zero_slot_max=dict(zip(_ZERO_KEYS, zero_max.tolist())),
+        normalization_max=dict(zip(NORMALIZATION_SLOTS, norm_max.tolist())),
         structural_violation=worst_zero,
         normalization_violation=worst_norm,
         samples=spec.count,
-        witness=witness,
-        torsion=_read_torsion(points, tables, index),
+        witness=points[int(np.argmax(per_sample))],
+        torsion=_read_torsion(points, T),
         tolerance=spec.tolerance,
     )
     if worst_norm > spec.tolerance:
@@ -227,8 +233,8 @@ class TorsionInvariants:
     """The ten torsion functions sampled pointwise.
 
     `values` maps each name in TORSION_NAMES to an array over `points`;
-    `exprs` carries exact expressions when the construction provides them
-    (built transformations know A1 = F_p and A2 = G_q).
+    `exprs` may carry exact expressions from a caller that has them (a
+    built transformation's are WavelikeBT.torsion_exprs(): A1 = F_p, A2 = G_q).
     """
 
     values: Mapping[str, np.ndarray]
@@ -242,18 +248,16 @@ class TorsionInvariants:
         return self.values["A1"] * self.values["A2"]
 
 
-def _read_torsion(points, tables, index) -> TorsionInvariants:
-    values = {
-        name: np.array([table[lbl][index[slot]] for table in tables])
-        for name, (lbl, slot) in TORSION_SLOTS.items()
-    }
-    return TorsionInvariants(values, tuple(points))
+def _read_torsion(points, T: np.ndarray) -> TorsionInvariants:
+    """The torsion slots of stacked (samples, 15, 6) slot tables."""
+    rows, cols = _TORSION_INDEX
+    values = T[:, rows, cols].T
+    return TorsionInvariants(dict(zip(TORSION_SLOTS, values)), tuple(points))
 
 
 def extract_torsion(section: CoframeSection,
                     points: Optional[Sequence[Point]] = None,
-                    spec: Optional[SampleSpec] = None,
-                    exprs: Optional[Mapping[str, Expr]] = None) -> TorsionInvariants:
+                    spec: Optional[SampleSpec] = None) -> TorsionInvariants:
     """Read the ten torsion functions from the connection-free slots.
 
     With `points` given they are used verbatim.  Otherwise the section is
@@ -261,19 +265,17 @@ def extract_torsion(section: CoframeSection,
     torsion is read from that pass's slot tables, at the validated points.
     """
     if points is None:
-        torsion = validate_section(section, spec).torsion
-    else:
-        derivatives = section.derivatives()
-        guard = section.chart.guard
-        tables = [_slot_table_at(section, derivatives, pt, guard) for pt in points]
-        torsion = _read_torsion(points, tables, fm.coefficient_index(section.chart, 2))
-    return TorsionInvariants(torsion.values, torsion.points, exprs)
+        return validate_section(section, spec).torsion
+    derivatives = section.derivatives()
+    guard = section.chart.guard
+    tables = [_slot_table_at(section, derivatives, pt, guard) for pt in points]
+    return _read_torsion(points, np.reshape(tables, (len(points),) + _TABLE_SHAPE))
 
 
-def check_normal(torsion: TorsionInvariants, guard: float = 1e-6) -> bool:
-    """Normality: |A1|, |A2|, |A1 A2 - 1| bounded away from zero on samples."""
+def check_normal(torsion: TorsionInvariants) -> bool:
+    """Normality: |A1|, |A2|, |A1 A2 - 1| above NORMAL_GUARD on samples."""
     margins = normal_margins(torsion)
-    return all(m > guard for m in margins.values())
+    return all(m > NORMAL_GUARD for m in margins.values())
 
 
 def normal_margins(torsion: TorsionInvariants) -> dict:
@@ -443,9 +445,8 @@ def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
     rhs_form = fm.wedge(d_contact, contact)
 
     def fit(pt: Point):
-        M = np.stack([fm.coefficients_at(c, pt, spec.guard) for c in columns], axis=1)
-        v = fm.coefficients_at(rhs_form, pt, spec.guard)
-        sol, resid = fm.span_residual(M, v)
+        A = fm.coefficient_matrix_at([rhs_form, *columns], pt, spec.guard)
+        sol, resid = fm.span_residual(A[:, 1:], A[:, 0])
         lead = sol[lead_col]
         if abs(lead) < spec.guard:
             raise ex.DomainError("leading block coefficient vanished")
@@ -536,22 +537,13 @@ def check_wavelike(section: CoframeSection, eta1: DifferentialForm,
     """
     spec = fm.resolve_spec(section.chart, spec)
 
-    def membership(candidate, span_forms, label):
-        def violation(pt: Point) -> float:
-            M = np.stack(
-                [fm.coefficients_at(w, pt, spec.guard) for w in span_forms], axis=1
-            )
-            v = fm.coefficients_at(candidate, pt, spec.guard)
-            return fm.span_residual(M, v)[1]
-
-        res = ex.sampled_check(spec, violation)
+    for label, eta, block in (("eta1", eta1, (section.w1, section.w2)),
+                              ("eta3", eta3, (section.w3, section.w4))):
+        res = fm.ideal_contains(eta, block, spec)
         if not res.ok:
             raise SubbundleError(
                 f"{label} is not inside its stated block (violation {res.max_violation:.3e})"
             )
-
-    membership(eta1, (section.w1, section.w2), "eta1")
-    membership(eta3, (section.w3, section.w4), "eta3")
 
     def frobenius(candidate):
         three = fm.wedge(fm.exterior_derivative(candidate), candidate)

@@ -544,12 +544,11 @@ def _grid_from_args(args) -> pp.Grid:
     try:
         nx, ny = (int(part) for part in args.grid.split(","))
         x0, x1, y0, y1 = (float(part) for part in args.domain.split(","))
-    except ValueError as err:
+        grid = pp.Grid(nx, ny, x0, x1, y0, y1)
+        pp._require_interior(grid)
+    except (ValueError, pp.PropagationError) as err:
         raise DefinitionError(f"bad --grid/--domain: {err}") from None
-    try:
-        return pp.Grid(nx, ny, x0, x1, y0, y1)
-    except ValueError as err:
-        raise DefinitionError(f"bad --grid/--domain: {err}") from None
+    return grid
 
 
 def cmd_propagate(runner: _Runner) -> None:

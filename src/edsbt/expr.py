@@ -817,9 +817,12 @@ def _draw(spec: SampleSpec, rng: random.Random) -> Point:
     return Point(coords, params)
 
 
-def finite_or_inf(value) -> float:
-    """`value` as a float violation; a non-finite one reads as inf, so no
-    comparison on the way to a verdict can skip it."""
+def finite_or_inf(value):
+    """`value` as a float violation, or an array of them elementwise; a
+    non-finite one reads as inf, so no comparison on the way to a verdict
+    can skip it."""
+    if isinstance(value, np.ndarray):
+        return np.where(np.isfinite(value), value, math.inf)
     value = float(value)
     return value if math.isfinite(value) else math.inf
 

@@ -281,23 +281,43 @@ def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     """Cartan formula i_X(da) + d(i_X a)."""
     if X.chart != a.chart:
         raise ChartMismatchError("vector field and form live on different charts")
-    pieces = []
-    if a.degree < a.chart.dim:
-        pieces.append(interior_product(X, exterior_derivative(a)))
-    if a.degree >= 1:
-        inner = interior_product(X, a)
-        if inner.degree < a.chart.dim:
-            pieces.append(exterior_derivative(inner))
-    if not pieces:
-        return DifferentialForm.zero(a.chart, a.degree)
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total + p
-    return total
+    if a.degree == 0:
+        return interior_product(X, exterior_derivative(a))
+    d_inner = exterior_derivative(interior_product(X, a))
+    if a.degree == a.chart.dim:
+        return d_inner
+    return interior_product(X, exterior_derivative(a)) + d_inner
 
 
 # ---------------------------------------------------------------------------
 # pointwise numerics
+
+
+@lru_cache(maxsize=None)
+def _basis_index(n: int, k: int) -> dict:
+    return {t: i for i, t in enumerate(basis_tuples(n, k))}
+
+
+def coefficient_index(chart: Chart, degree: int) -> dict:
+    return _basis_index(chart.dim, degree)
+
+
+def coefficient_matrix_at(
+    forms: Sequence[DifferentialForm], pt: Point, guard: Optional[float] = None
+) -> np.ndarray:
+    """Numeric coefficient vectors of same-degree forms, one column each,
+    rows ordered by `basis_tuples(chart.dim, degree)`.  Forms are evaluated
+    in the order given."""
+    n, k = forms[0].chart.dim, forms[0].degree
+    if any(a.degree != k for a in forms):
+        raise ValueError("forms must share one degree")
+    index = _basis_index(n, k)
+    out = np.zeros((len(index), len(forms)))
+    env = pt.env()
+    for j, a in enumerate(forms):
+        for t, c in a.coeffs.items():
+            out[index[t], j] = ex.evaluate(c, env, guard)
+    return out
 
 
 def coefficients_at(a: DifferentialForm, pt: Point, guard: Optional[float] = None) -> np.ndarray:
@@ -305,17 +325,7 @@ def coefficients_at(a: DifferentialForm, pt: Point, guard: Optional[float] = Non
 
     Ordered by `basis_tuples(chart.dim, degree)`, length C(n, k).
     """
-    basis = basis_tuples(a.chart.dim, a.degree)
-    index = {t: i for i, t in enumerate(basis)}
-    out = np.zeros(len(basis))
-    env = pt.env()
-    for t, c in a.coeffs.items():
-        out[index[t]] = ex.evaluate(c, env, guard)
-    return out
-
-
-def coefficient_index(chart: Chart, degree: int) -> dict:
-    return {t: i for i, t in enumerate(basis_tuples(chart.dim, degree))}
+    return coefficient_matrix_at((a,), pt, guard)[:, 0]
 
 
 def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None) -> np.ndarray:
@@ -324,16 +334,9 @@ def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None
     Raises SingularCoframeError when S has a non-finite entry or condition
     number above COND_LIMIT.
     """
-    n = coframe[0].chart.dim
-    if len(coframe) != n:
+    if len(coframe) != coframe[0].chart.dim or coframe[0].degree != 1:
         raise ValueError("coframe must contain n one-forms")
-    S = np.zeros((n, n))
-    env = pt.env()
-    for i, w in enumerate(coframe):
-        if w.degree != 1:
-            raise ValueError("coframe entries must be 1-forms")
-        for t, c in w.coeffs.items():
-            S[i, t[0]] = ex.evaluate(c, env, guard)
+    S = coefficient_matrix_at(coframe, pt, guard).T
     if not np.all(np.isfinite(S)) or np.linalg.cond(S) > COND_LIMIT:
         raise SingularCoframeError(f"coframe singular at {pt.flat()}")
     return S
@@ -430,9 +433,6 @@ def ideal_contains(
         if g.is_zero() or g.degree > k:
             continue
         comp = k - g.degree
-        if comp == 0:
-            columns.append(g)
-            continue
         for U in basis_tuples(chart.dim, comp):
             mono = DifferentialForm(chart, comp, {U: ex.ONE})
             col = wedge(g, mono)
@@ -440,10 +440,7 @@ def ideal_contains(
                 columns.append(col)
 
     def violation(pt: Point) -> float:
-        v = coefficients_at(target, pt, spec.guard)
-        M = np.zeros((v.size, len(columns)))
-        for j, c in enumerate(columns):
-            M[:, j] = coefficients_at(c, pt, spec.guard)
-        return span_residual(M, v)[1]
+        A = coefficient_matrix_at([target, *columns], pt, spec.guard)
+        return span_residual(A[:, 1:], A[:, 0])[1]
 
     return ex.sampled_check(spec, violation)

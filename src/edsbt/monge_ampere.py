@@ -37,12 +37,12 @@ class DegeneratePencilError(RuntimeError):
     """sigma(lambda) is identically zero at a sample point."""
 
 
-def standard_chart(box=None, params=None, guard: float = 1e-6) -> Chart:
+def standard_chart(box=None, params=None) -> Chart:
     """The (x, y, u, p, q) contact chart with a default sampling box."""
     intervals = dict(box or {})
     for c in MA_COORDS:
         intervals.setdefault(c, DEFAULT_INTERVAL)
-    return Chart(MA_COORDS, intervals, params or {}, guard)
+    return Chart(MA_COORDS, intervals, params or {})
 
 
 def contact_form(chart: Chart) -> DifferentialForm:
@@ -122,11 +122,10 @@ def validate(sys: MongeAmpereSystem, spec: Optional[SampleSpec] = None) -> Check
         worst = float(np.max(np.abs(resid))) / (1.0 + float(np.max(np.abs(v))))
         if abs(c) <= spec.guard:
             worst = max(worst, 1.0)
-        cols = [fm.coefficients_at(f, pt, spec.guard) for f in theta_monomials]
-        cols.append(fm.coefficients_at(dtheta, pt, spec.guard))
-        M = np.stack(cols, axis=1)
-        vo = fm.coefficients_at(sys.omega, pt, spec.guard)
-        augmented = np.concatenate([M, vo[:, None]], axis=1)
+        augmented = fm.coefficient_matrix_at(
+            [*theta_monomials, dtheta, sys.omega], pt, spec.guard
+        )
+        M = augmented[:, :-1]
         if not np.all(np.isfinite(augmented)):
             # norm and matrix_rank run an SVD, which raises LinAlgError on it
             return math.inf

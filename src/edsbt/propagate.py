@@ -179,6 +179,12 @@ def _march(rhs_x, rhs_y, start, grid: Grid) -> np.ndarray:
     return W
 
 
+def _require_interior(grid: Grid) -> None:
+    """The compatibility residual reads central differences at interior nodes."""
+    if min(grid.nx, grid.ny) < 3:
+        raise PropagationError(f"grid {grid.nx}x{grid.ny} has no interior node; need 3 per axis")
+
+
 def _cross_residual(P, Q, grid) -> float:
     """max |P_y - Q_x| over the interior nodes, by central differences: the
     cross-derivative test of u_x = P, u_y = Q."""
@@ -305,6 +311,7 @@ def bt_propagate(
     the ODE right sides are exact.  `bracket`, when given, is a global
     (lo, hi) window for the v_x root solve in the non-affine case.
     """
+    _require_interior(grid)
     params = _fixed_params(bt.chart)
     seed = ex.as_expr(seed, ("x", "y"), tuple(params))
     ux_e = ex.differentiate(seed, "x")
@@ -416,6 +423,7 @@ def tzitzeica_propagate(
     integrated along the base row and then up the columns.  Nodes where
     |h'| < GUARD are flagged singular rather than treated as failures.
     """
+    _require_interior(grid)
     h = ex.as_expr(h, ("x", "y"))
     lam = float(lam)
     if abs(lam) < GUARD:

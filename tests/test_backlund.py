@@ -8,6 +8,7 @@ module tests for the underlying calculus oracles.
 
 import math
 
+import numpy as np
 import pytest
 
 from edsbt import backlund as bk
@@ -203,6 +204,95 @@ class TestValidateSection:
         report = info.value.report
         assert report.structural_violation == math.inf
         assert report.witness.coords["u"] > 0.65
+
+
+def slot_columns(table):
+    """label -> 15-vector from one slot table, given either as a mapping by
+    label or as a (15, 6) array with one column per label."""
+    if isinstance(table, np.ndarray):
+        return dict(zip(bk.SECTION_LABELS, table.T))
+    return table
+
+
+def per_slot_reduction(section, points, guard):
+    """validate_section's reduction over the slot tables at `points`, one
+    slot at a time: (zero_slot_max, normalization_max, structural and
+    normalization violations, witness)."""
+    derivatives = section.derivatives()
+    pairs = fm.basis_tuples(6, 2)
+    zero_max = {(lbl, slot): 0.0 for lbl in bk.SECTION_LABELS for slot in bk.ZERO_SLOTS[lbl]}
+    norm_max = {lbl: 0.0 for lbl in bk.NORMALIZATION_SLOTS}
+    worst, witness = 0.0, None
+    for pt in points:
+        table = slot_columns(bk._slot_table_at(section, derivatives, pt, guard))
+        local = 0.0
+        for lbl in bk.SECTION_LABELS:
+            row = table[lbl]
+            scale = 1.0 + float(np.max(np.abs(row)))
+            for slot in bk.ZERO_SLOTS[lbl]:
+                v = ex.finite_or_inf(abs(float(row[pairs.index(slot)])) / scale)
+                zero_max[lbl, slot] = max(zero_max[lbl, slot], v)
+                local = max(local, v)
+        for lbl, slot in bk.NORMALIZATION_SLOTS.items():
+            v = ex.finite_or_inf(abs(float(table[lbl][pairs.index(slot)]) - 1.0))
+            norm_max[lbl] = max(norm_max[lbl], v)
+            local = max(local, v)
+        if local > worst or witness is None:
+            worst, witness = local, pt
+    return zero_max, norm_max, max(zero_max.values()), max(norm_max.values()), witness
+
+
+def missing_correction_section(ch):
+    sec = explicit_sg_section(ch)
+    dp_bare = fm.d_coord(ch, "p") - ex.sin(ex.Var("v")) * fm.d_coord(ch, "y")
+    return bk.CoframeSection(ch, sec.theta, sec.theta_bar, sec.w1, dp_bare, sec.w3, sec.w4)
+
+
+def redrawing_section(ch):
+    sec = explicit_sg_section(ch)
+    x = ex.Var("x")
+    return bk.CoframeSection(ch, sec.theta, sec.theta_bar, (x / x) * sec.w1, sec.w2, sec.w3, sec.w4)
+
+
+def nonfinite_section(ch):
+    sec = explicit_sg_section(ch)
+    E = ex.exp(ex.exp(10 * ex.Var("u")))
+    c = ex.atan(E) - ex.atan(2 * E / 2)
+    return bk.CoframeSection(
+        ch, sec.theta, sec.theta_bar, sec.w1 + c * fm.d_coord(ch, "y"), sec.w2, sec.w3, sec.w4
+    )
+
+
+class TestSlotReductionOracle:
+    """The report of validate_section against the per-slot reduction,
+    recomputed from _slot_table_at at the validated points."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "build, spec_args",
+        [
+            (missing_correction_section, {"count": 24}),
+            (redrawing_section, {"count": 16, "guard": 0.5}),
+            (nonfinite_section, {"count": 16}),
+        ],
+        ids=["missing_correction", "redrawing_guard", "nonfinite"],
+    )
+    def test_report_matches_per_slot_loop(self, build, spec_args):
+        ch = sg_chart()
+        section, spec = build(ch), ch.sample_spec(**spec_args)
+        try:
+            report = bk.validate_section(section, spec)
+        except bk.SectionValidationError as err:
+            report = err.report
+        zero_max, norm_max, structural, normalization, witness = per_slot_reduction(
+            section, report.torsion.points, spec.guard
+        )
+        assert report.zero_slot_max == zero_max
+        assert list(report.zero_slot_max) == list(zero_max)
+        assert report.normalization_max == norm_max
+        assert report.structural_violation == structural
+        assert report.normalization_violation == normalization
+        assert report.witness is witness
 
 
 class TestTorsion:

@@ -204,6 +204,22 @@ class TestExitCodes:
             cli.main(["bogus", "whatever.def"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SG_DEF, "edsbt: F_p vanishes on the box (min 1.000e+00)"),
+            (SECTION_DEF, "edsbt: guard rejected 80 consecutive points (sample 0)"),
+        ],
+    )
+    def test_runtime_breakdown_is_one(self, tmp_path, capsys, text, message):
+        # a guard of 10 rejects every sample: the build's F_p margin, or
+        # every redraw of the section's first sample
+        code = cli.main(["check", write_def(tmp_path, text + "\n[spec]\nguard = 10\n")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
 
 class TestCheckCommand:
     def test_report_shape_and_records(self, tmp_path, capsys):
@@ -449,6 +465,26 @@ class TestPropagateCommand:
             "--out", str(tmp_path / "v.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, grid, flags",
+        [
+            ("propagate", "2,2", ("--seed-u", "0", "--v0", "3.14", "--out")),
+            ("propagate", "2,5", ("--seed-u", "0", "--v0", "3.14", "--out")),
+            ("tzitzeica", "5,2", ("--out-hprime",)),
+        ],
+    )
+    def test_grid_without_interior_is_usage_error(self, tmp_path, capsys, command, grid, flags):
+        text = SG_DEF if command == "propagate" else TZ_DEF
+        out = tmp_path / "field.csv"
+        code = cli.main([command, write_def(tmp_path, text), "--grid", grid,
+                         "--domain", "0,0.5,0,0.5", *flags, str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("edsbt: bad --grid/--domain: grid ")
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
 
 
 class TestTzitzeicaCommand:

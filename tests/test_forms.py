@@ -192,6 +192,21 @@ class TestCoefficientsAt:
         v = coefficients_at(DifferentialForm.zero(ch, 2), Point({c: 0.0 for c in ch.coords}))
         assert v.shape == (10,) and not v.any()
 
+    def test_matrix_has_one_column_per_form(self):
+        ch = chart5()
+        theta, omega1, omega2 = sine_gordon_system(ch)
+        forms = [omega1, exterior_derivative(theta), DifferentialForm.zero(ch, 2), omega2]
+        pt = Point({"x": 0.2, "y": -0.4, "u": 0.7, "p": 0.1, "q": -1.1})
+        M = fm.coefficient_matrix_at(forms, pt)
+        ix = coefficient_index(ch, 2)
+        expect = np.zeros((10, len(forms)))
+        for j, a in enumerate(forms):
+            for t, c in a.coeffs.items():
+                expect[ix[t], j] = ex.evaluate(c, pt.env())
+        assert np.array_equal(M, expect)
+        with pytest.raises(ValueError):
+            fm.coefficient_matrix_at([theta, omega1], pt)
+
 
 class TestCoframeCoefficientsAt:
     def test_coordinate_coframe_is_identity(self):

@@ -233,6 +233,15 @@ class TestBTPropagate:
         with pytest.raises(pp.RootSolveError):
             pp.bt_propagate(bt, "2*x", 0.0, grid, bracket=(-10.0, 10.0))
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (5, 2)])
+    def test_grid_without_interior_rejected(self, sg_bt, nx, ny):
+        # the compatibility residual reads central differences at interior nodes
+        grid = pp.Grid(nx, ny, 0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(pp.PropagationError, match=f"grid {nx}x{ny}"):
+            pp.bt_propagate(sg_bt, "0", math.pi, grid)
+        with pytest.raises(pp.PropagationError, match=f"grid {nx}x{ny}"):
+            pp.tzitzeica_propagate("1", 1.0, 1.0, 1.0, grid)
+
     def test_divergence_reported(self):
         # v_y = v^2 blows up in finite y
         ch = bk.b_chart()
