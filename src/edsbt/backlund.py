@@ -16,7 +16,7 @@ vanish for a valid adapted section.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -260,14 +260,15 @@ def extract_torsion(section: CoframeSection,
                     spec: Optional[SampleSpec] = None) -> TorsionInvariants:
     """Read the ten torsion functions from the connection-free slots.
 
-    With `points` given they are used verbatim.  Otherwise the section is
-    validated on samples drawn from `spec` (or the chart default), and the
-    torsion is read from that pass's slot tables, at the validated points.
+    With `points` given they are used verbatim, under the guard of `spec`
+    (or the chart default).  Otherwise the section is validated on samples
+    drawn from `spec`, and the torsion is read from that pass's slot
+    tables, at the validated points.
     """
     if points is None:
         return validate_section(section, spec).torsion
     derivatives = section.derivatives()
-    guard = section.chart.guard
+    guard = fm.resolve_spec(section.chart, spec).guard
     tables = [_slot_table_at(section, derivatives, pt, guard) for pt in points]
     return _read_torsion(points, np.reshape(tables, (len(points),) + _TABLE_SHAPE))
 
@@ -345,8 +346,7 @@ def _sampled_min(expr: Expr, spec: SampleSpec) -> float:
     margin built on it fails its guard."""
 
     def magnitude(pt: Point) -> float:
-        value = abs(float(ex.evaluate(expr, pt.env(), spec.guard)))
-        return value if math.isfinite(value) else 0.0
+        return ex.finite_or(abs(float(ex.evaluate(expr, pt.env(), spec.guard))), 0.0)
 
     return min(v for _, v in ex.sampled_collect(spec, magnitude))
 
@@ -453,7 +453,7 @@ def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
         cand = float(ex.evaluate(candidate, pt.env(), spec.guard))
         return resid, sol[target_col] / lead, cand
 
-    probe_spec = spec.replace(count=min(spec.count, 8))
+    probe_spec = dataclasses.replace(spec, count=min(spec.count, 8))
     resids, ratios, cand_vals = zip(*(v for _, v in ex.sampled_collect(probe_spec, fit)))
     worst_resid = max(0.0, *resids)
     if worst_resid > max(spec.tolerance, 1e-8):

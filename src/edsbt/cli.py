@@ -4,13 +4,15 @@ Reads a line-oriented system-definition file, runs the requested checks
 or propagations against it, and emits a flat JSON report plus optional
 CSV grids.  Reports are byte-reproducible for identical inputs and seed:
 they contain no timestamps, keys are sorted, and every sampled quantity
-is driven by the resolved seed (--seed flag, else EDSBT_SEED, else 0).
+is driven by the resolved seed (--seed flag, else EDSBT_SEED, else
+[spec] seed, else 0).
 
 Definition file format: `[block]` headers, `key = value` entries, `#`
 starts a comment, lists are comma-separated.  The blocks are [chart]
-(coords plus one interval entry per coordinate), [params] (fixed value
-or [lo, hi] range), exactly one of [bt] / [ma] / [section] /
-[tzitzeica], and optional [candidates] and [spec] blocks.
+(coords plus one interval entry per coordinate, nothing else), [params]
+(fixed value or [lo, hi] range), exactly one of [bt] / [ma] / [section] /
+[tzitzeica], and optional [candidates] and [spec] (samples, tol, seed,
+guard) blocks.
 
 Exit status: 0 when every emitted record passes, 1 when any record
 fails or a computation breaks down, 2 on usage or definition errors.
@@ -45,6 +47,13 @@ class DefinitionError(ValueError):
 PRIMARY_BLOCKS = ("bt", "ma", "section", "tzitzeica")
 KNOWN_BLOCKS = ("chart", "params") + PRIMARY_BLOCKS + ("candidates", "spec")
 SECTION_KEYS = ("theta", "theta_bar", "w1", "w2", "w3", "w4")
+# [spec] key -> (SampleSpec field, type); the defaults live in SampleSpec
+SPEC_KEYS = {
+    "samples": ("count", int),
+    "tol": ("tolerance", float),
+    "seed": ("seed", int),
+    "guard": ("guard", float),
+}
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,9 @@ def _parse_chart(blocks: dict, path: str) -> fm.Chart:
     if "coords" not in chart_block:
         raise DefinitionError(f"{path}: [chart] needs a coords entry")
     coords = tuple(_split_list(chart_block["coords"]))
+    extra = [key for key in chart_block if key != "coords" and key not in coords]
+    if extra:
+        raise DefinitionError(f"{path}: [chart] unknown entries {extra}")
     box = {}
     for name in coords:
         if name not in chart_block:
@@ -132,11 +144,8 @@ def _parse_chart(blocks: dict, path: str) -> fm.Chart:
             )
         else:
             params[name] = _parse_float(value, f"[params] {name}")
-    guard = 1e-6
-    if "guard" in blocks.get("spec", {}):
-        guard = _parse_float(blocks["spec"]["guard"], "[spec] guard")
     try:
-        return fm.Chart(coords, box, params, guard=guard)
+        return fm.Chart(coords, box, params)
     except ValueError as err:
         raise DefinitionError(f"{path}: {err}") from None
 
@@ -184,15 +193,14 @@ def parse_definition(path: str) -> SystemDefinition:
     _parse_expressions(chart, kind, body, candidates, path)
 
     spec_overrides = {}
-    spec_block = blocks.get("spec", {})
-    for key, cast in (("samples", int), ("tol", float), ("seed", int)):
-        if key in spec_block:
-            try:
-                spec_overrides[key] = cast(spec_block[key])
-            except ValueError:
-                raise DefinitionError(
-                    f"{path}: [spec] {key} is not a {cast.__name__}"
-                ) from None
+    for key, value in blocks.get("spec", {}).items():
+        if key not in SPEC_KEYS:
+            raise DefinitionError(f"{path}: [spec] unknown key {key!r}")
+        cast = SPEC_KEYS[key][1]
+        try:
+            spec_overrides[key] = cast(value)
+        except ValueError:
+            raise DefinitionError(f"{path}: [spec] {key} is not a {cast.__name__}") from None
     _sample_spec(chart, spec_overrides, path)
     return SystemDefinition(
         chart=chart,
@@ -204,14 +212,11 @@ def parse_definition(path: str) -> SystemDefinition:
 
 
 def _sample_spec(chart: fm.Chart, overrides: dict, where: str) -> ex.SampleSpec:
-    """The sampling policy of a run; a count, tolerance or chart interval
-    that it rejects is a usage error."""
+    """The sampling policy of a run: SampleSpec's defaults, with the
+    SPEC_KEYS entries of `overrides` set; a count, tolerance, guard or
+    chart interval that it rejects is a usage error."""
     try:
-        return chart.sample_spec(
-            count=overrides.get("samples", 64),
-            tolerance=overrides.get("tol", 1e-9),
-            seed=overrides.get("seed", 0),
-        )
+        return chart.sample_spec(**{SPEC_KEYS[k][0]: v for k, v in overrides.items()})
     except ValueError as err:
         raise DefinitionError(f"{where}: {err}") from None
 
@@ -292,22 +297,16 @@ class _Runner:
         self.args = args
         self.defn = parse_definition(args.file)
         overrides = dict(self.defn.spec_overrides)
-        if args.samples is not None:
-            overrides["samples"] = args.samples
-        if args.tol is not None:
-            overrides["tol"] = args.tol
         # seed precedence: --seed flag, then EDSBT_SEED, then the def file
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        else:
-            env_seed = os.environ.get("EDSBT_SEED")
-            if env_seed is not None:
-                try:
-                    overrides["seed"] = int(env_seed)
-                except ValueError:
-                    raise DefinitionError(
-                        f"EDSBT_SEED is not an integer: {env_seed!r}"
-                    ) from None
+        env_seed = os.environ.get("EDSBT_SEED")
+        if args.seed is None and env_seed is not None:
+            try:
+                overrides["seed"] = int(env_seed)
+            except ValueError:
+                raise DefinitionError(f"EDSBT_SEED is not an integer: {env_seed!r}") from None
+        for key in ("samples", "tol", "seed"):  # flags named as their SPEC_KEYS
+            if getattr(args, key) is not None:
+                overrides[key] = getattr(args, key)
         self.spec = _sample_spec(self.defn.chart, overrides, "bad --samples/--tol")
         self.records: list = []
         self.extras: dict = {}
@@ -551,19 +550,28 @@ def _grid_from_args(args) -> pp.Grid:
     return grid
 
 
+def _xy_expr(text: str, chart: fm.Chart, flag: str) -> ex.Expr:
+    """A flag's expression in x, y and the chart's params; one that does
+    not parse is a usage error."""
+    try:
+        return ex.parse(text, ("x", "y"), chart.params.keys())
+    except ex.ExprSyntaxError as err:
+        raise DefinitionError(f"bad {flag}: {err}") from None
+
+
 def cmd_propagate(runner: _Runner) -> None:
     runner.require_kind("bt")
+    args, chart = runner.args, runner.defn.chart
+    seed_u = _xy_expr(args.seed_u, chart, "--seed-u")
+    if args.reference is not None:
+        reference = _xy_expr(args.reference, chart, "--reference")
     bt = runner.build_bt()
-    grid = _grid_from_args(runner.args)
+    grid = _grid_from_args(args)
     try:
-        result = pp.bt_propagate(bt, runner.args.seed_u, runner.args.v0, grid)
-        if runner.args.reference is not None:
-            reference = pp.sample_field(
-                runner.args.reference, grid, params=pp._fixed_params(bt.chart)
-            )
-            runner.extras["sup_error"] = float(
-                np.max(np.abs(result.v.values - reference.values))
-            )
+        result = pp.bt_propagate(bt, seed_u, args.v0, grid)
+        if args.reference is not None:
+            expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
+            runner.extras["sup_error"] = float(np.max(np.abs(result.v.values - expected.values)))
     except pp.PropagationError as err:
         runner.records.append(_record("propagation", "error", witness=str(err)))
         return

@@ -12,7 +12,6 @@ performs constant folding only, so differentiation stays exact.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import weakref
@@ -625,15 +624,15 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or not text[j].isdecimal():
                     raise ExprSyntaxError("digits expected after decimal point", j)
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", text[i:j], i))
             i = j
@@ -798,9 +797,6 @@ class SampleSpec:
             if not lo < hi:
                 raise ValueError(f"degenerate interval for '{name}'")
 
-    def replace(self, **kw) -> "SampleSpec":
-        return dataclasses.replace(self, **kw)
-
 
 _MAX_REDRAWS = 80
 
@@ -817,14 +813,19 @@ def _draw(spec: SampleSpec, rng: random.Random) -> Point:
     return Point(coords, params)
 
 
-def finite_or_inf(value):
-    """`value` as a float violation, or an array of them elementwise; a
-    non-finite one reads as inf, so no comparison on the way to a verdict
-    can skip it."""
+def finite_or(value, replacement: float):
+    """`value` as a float, or an array of them elementwise, with each
+    non-finite one read as `replacement`."""
     if isinstance(value, np.ndarray):
-        return np.where(np.isfinite(value), value, math.inf)
+        return np.where(np.isfinite(value), value, replacement)
     value = float(value)
-    return value if math.isfinite(value) else math.inf
+    return value if math.isfinite(value) else replacement
+
+
+def finite_or_inf(value):
+    """`value` as a violation: a non-finite one reads as inf, so no
+    comparison on the way to a verdict can skip it."""
+    return finite_or(value, math.inf)
 
 
 def sampled_check(spec: SampleSpec, violation_at) -> "CheckResult":

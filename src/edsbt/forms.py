@@ -36,14 +36,13 @@ class Chart:
     """Ordered coordinates with a sampling box and named parameters.
 
     `params` values are either fixed floats or (lo, hi) ranges sampled per
-    point; `guard` is the default minimum size for denominators and ln/sqrt
-    arguments during evaluation.
+    point.  The sampling policy (count, seed, guard, tolerance) lives in
+    SampleSpec; sample_spec() builds one over this box and these params.
     """
 
     coords: tuple
     box: Mapping[str, tuple] = field(default_factory=dict)
     params: Mapping[str, object] = field(default_factory=dict)
-    guard: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -57,8 +56,6 @@ class Chart:
         missing = [c for c in self.coords if c not in self.box]
         if missing:
             raise ValueError(f"box missing intervals for {missing}")
-        if not self.guard > 0:
-            raise ValueError("guard must be positive")
 
     @property
     def dim(self) -> int:
@@ -71,21 +68,12 @@ class Chart:
         return ex.parse(text, self.coords, self.params.keys())
 
     def sample_spec(self, **overrides) -> SampleSpec:
-        base = dict(
-            box=self.box, params=self.params, guard=self.guard
-        )
-        base.update(overrides)
-        return SampleSpec(**base)
+        return SampleSpec(box=self.box, params=self.params, **overrides)
 
 
 def resolve_spec(chart: Chart, spec: Optional[SampleSpec]) -> SampleSpec:
-    """Fill a spec's empty box/params from the chart so sampling can run."""
-    if spec is None:
-        return chart.sample_spec()
-    box = spec.box if spec.box else chart.box
-    params = dict(chart.params)
-    params.update(spec.params)
-    return spec.replace(box=box, params=params)
+    """`spec`, or the chart's default policy when it is None."""
+    return chart.sample_spec() if spec is None else spec
 
 
 @lru_cache(maxsize=None)

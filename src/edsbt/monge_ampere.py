@@ -90,8 +90,7 @@ def from_coefficients(A, B, C, D, E, chart: Optional[Chart] = None,
     def magnitude(pt: Point) -> float:
         # a non-finite magnitude reads as 0.0, so no sample order lets a
         # NaN decide the verdict
-        value = float(np.max(np.abs(fm.coefficients_at(omega, pt, spec.guard))))
-        return value if math.isfinite(value) else 0.0
+        return ex.finite_or(np.max(np.abs(fm.coefficients_at(omega, pt, spec.guard))), 0.0)
 
     largest = max(v for _, v in ex.sampled_collect(spec, magnitude))
     if largest <= spec.tolerance:

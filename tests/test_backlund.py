@@ -359,6 +359,18 @@ class TestTorsion:
         assert len(attempts) > 16
         assert list(torsion.points) == validated
 
+    def test_given_points_read_under_the_spec_guard(self):
+        # at x = 0.1 the denominator of (x/x) w1 sits inside a guard of 0.5
+        ch = sg_chart()
+        sec = explicit_sg_section(ch)
+        x = ex.Var("x")
+        guarded = bk.CoframeSection(
+            ch, sec.theta, sec.theta_bar, (x / x) * sec.w1, sec.w2, sec.w3, sec.w4
+        )
+        pt = ex.Point({**reference_point().coords, "x": 0.1}, {"lam": 1.0})
+        with pytest.raises(ex.DomainError):
+            bk.extract_torsion(guarded, points=[pt], spec=ch.sample_spec(guard=0.5))
+
     def test_sampled_invariants(self):
         bt, spec = sg_bt(count=32)
         torsion = bk.extract_torsion(bt.section, spec=spec)

@@ -152,6 +152,10 @@ class TestDefinitionParsing:
             lambda t: t + "\n[spec]\nsamples = 0\n",
             lambda t: t + "\n[spec]\ntol = nan\n",
             lambda t: t.replace("x = -1.5, 1.5", "x = 1.5, -1.5"),  # degenerate interval
+            lambda t: t + "\n[spec]\nsampels = 8\n",  # unknown [spec] key
+            lambda t: t + "\n[spec]\ntolerance = 1e-3\n",
+            lambda t: t.replace("[chart]\n", "[chart]\nguard = 1e-3\n", 1),  # names no coordinate
+            lambda t: t.replace("G = -q + (2/lam)*sin((u - v)/2)", "G = -q + ²"),  # superscript digit
         ],
     )
     def test_malformed_definitions(self, tmp_path, mangle):
@@ -485,6 +489,23 @@ class TestPropagateCommand:
         assert captured.err.startswith("edsbt: bad --grid/--domain: grid ")
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--seed-u", "4*atan(exp("), ("--seed-u", "z"), ("--reference", "x+(")],
+    )
+    def test_bad_flag_expression_is_usage_error(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "v.csv"
+        flags = {"--seed-u": "0", "--reference": "0", flag: text}
+        code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--v0", "1",
+                         "--grid", "5,5", "--domain", "0,1,0,1", "--out", str(out),
+                         *(item for pair in flags.items() for item in pair)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"edsbt: bad {flag}: ")
+        assert not out.exists()
 
 
 class TestTzitzeicaCommand:

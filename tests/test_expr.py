@@ -80,6 +80,11 @@ class TestParse:
     def test_stray_character(self):
         with pytest.raises(ExprSyntaxError):
             P("u % 2")
+        # a superscript is a digit but not decimal, and Fraction takes decimals only
+        for text, offset in (("2²", 1), ("x + ²", 4)):
+            with pytest.raises(ExprSyntaxError, match="unexpected character '²'") as err:
+                P(text)
+            assert err.value.position == offset
 
 
 class TestDifferentiate:
