@@ -29,7 +29,6 @@ from .expr import CheckResult, Expr, Point, SampleSpec
 from .forms import Chart, DifferentialForm, VectorField
 
 B_COORDS = ("x", "y", "u", "v", "p", "q")
-DEFAULT_INTERVAL = (-1.5, 1.5)
 
 SECTION_LABELS = ("theta", "theta_bar", "w1", "w2", "w3", "w4")
 
@@ -111,10 +110,7 @@ class AntiderivativeError(ValueError):
 
 def b_chart(box=None, params=None) -> Chart:
     """The six-coordinate chart (x, y, u, v, p, q) with a default box."""
-    intervals = dict(box or {})
-    for c in B_COORDS:
-        intervals.setdefault(c, DEFAULT_INTERVAL)
-    return Chart(B_COORDS, intervals, params or {})
+    return fm.default_chart(B_COORDS, box, params)
 
 
 @dataclass(frozen=True)
@@ -498,18 +494,13 @@ class RawExtensionSystem:
 def integrable_extension_checks(obj, spec: Optional[SampleSpec] = None) -> dict:
     """The two sampled membership checks behind check_integrable_extension."""
     if isinstance(obj, WavelikeBT):
-        s = obj.section
-        o1 = fm.wedge(s.w1, s.w2)
-        o2 = fm.wedge(s.w3, s.w4)
-        theta, theta_bar = s.theta, s.theta_bar
+        theta, theta_bar, o1, o2 = obj.generators()
         o1b, o2b = o1, o2
-        chart = obj.chart
     else:
         theta, theta_bar = obj.theta, obj.theta_bar
         o1, o2 = obj.omega1, obj.omega2
         o1b, o2b = obj.omega1_bar, obj.omega2_bar
-        chart = obj.chart
-    spec = fm.resolve_spec(chart, spec)
+    spec = fm.resolve_spec(obj.chart, spec)
     return {
         "dtheta": fm.ideal_contains(
             fm.exterior_derivative(theta), [theta, theta_bar, o1b, o2b], spec
@@ -619,10 +610,7 @@ def transversality_det(bt: WavelikeBT, X: VectorField, Y: VectorField,
     spec = fm.resolve_spec(bt.chart, spec)
 
     def pairing(form: DifferentialForm, field: VectorField) -> Expr:
-        total = ex.ZERO
-        for (i,), c in form.coeffs.items():
-            total = ex.add(total, ex.mul(c, field.components[i]))
-        return total
+        return fm.interior_product(field, form).coeffs.get((), ex.ZERO)
 
     s = bt.section
     det = ex.sub(
@@ -763,9 +751,7 @@ def normalize_first_order(pde: QuasilinearPDE, chart: Optional[Chart] = None,
     The returned phi_u satisfies phi_uu + A phi_u = 0, which makes the
     transformed bilinear coefficient (phi_uu + A phi_u)/phi_u^2 vanish.
     """
-    chart = chart or Chart(
-        ("x", "y", "u"), {c: DEFAULT_INTERVAL for c in ("x", "y", "u")}
-    )
+    chart = chart or fm.default_chart(("x", "y", "u"))
     spec = fm.resolve_spec(chart, spec)
     primitive = u_antiderivative(pde.A)
     phi_u = ex.exp(ex.neg(primitive))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -106,9 +107,20 @@ def _split_list(value: str) -> list:
 
 def _parse_float(value: str, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DefinitionError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise DefinitionError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _parse_pair(value: str, where: str, not_a_pair: str) -> tuple:
+    """`lo, hi` as two floats; `not_a_pair` is the error for another count."""
+    parts = _split_list(value)
+    if len(parts) != 2:
+        raise DefinitionError(not_a_pair)
+    return tuple(_parse_float(part, where) for part in parts)
 
 
 def _parse_chart(blocks: dict, path: str) -> fm.Chart:
@@ -125,22 +137,14 @@ def _parse_chart(blocks: dict, path: str) -> fm.Chart:
     for name in coords:
         if name not in chart_block:
             raise DefinitionError(f"{path}: [chart] missing interval for {name}")
-        parts = _split_list(chart_block[name])
-        if len(parts) != 2:
-            raise DefinitionError(f"{path}: interval for {name} needs lo, hi")
-        box[name] = (
-            _parse_float(parts[0], f"[chart] {name}"),
-            _parse_float(parts[1], f"[chart] {name}"),
+        box[name] = _parse_pair(
+            chart_block[name], f"[chart] {name}", f"{path}: interval for {name} needs lo, hi"
         )
     params = {}
     for name, value in blocks.get("params", {}).items():
         if value.startswith("[") and value.endswith("]"):
-            parts = _split_list(value[1:-1])
-            if len(parts) != 2:
-                raise DefinitionError(f"{path}: [params] {name} range needs lo, hi")
-            params[name] = (
-                _parse_float(parts[0], f"[params] {name}"),
-                _parse_float(parts[1], f"[params] {name}"),
+            params[name] = _parse_pair(
+                value[1:-1], f"[params] {name}", f"{path}: [params] {name} range needs lo, hi"
             )
         else:
             params[name] = _parse_float(value, f"[params] {name}")
@@ -290,6 +294,12 @@ def _record_from_check(name: str, result: ex.CheckResult) -> dict:
     )
 
 
+def _normal_record(torsion: bk.TorsionInvariants) -> dict:
+    return _record(
+        "normal", "pass" if bk.check_normal(torsion) else "fail", samples=len(torsion.points)
+    )
+
+
 class _Runner:
     """Definition, resolved sampling policy, and report state for one run."""
 
@@ -355,22 +365,12 @@ class _Runner:
         up, else None."""
         try:
             report = bk.validate_section(section, self.spec)
-            ok = True
         except bk.SectionValidationError as err:
             report = err.report
-            ok = False
-        self.records.append(
-            _record(
-                "section_valid",
-                "pass" if ok else "fail",
-                samples=report.samples,
-                max_violation=float(
-                    max(report.structural_violation, report.normalization_violation)
-                ),
-                witness=report.witness.flat() if report.witness else "",
-            )
-        )
-        return report if ok else None
+        worst = max(report.structural_violation, report.normalization_violation)
+        result = ex.CheckResult(report.ok, worst, report.witness, report.samples)
+        self.records.append(_record_from_check("section_valid", result))
+        return report if report.ok else None
 
     def report(self, command: str) -> dict:
         out = {
@@ -404,13 +404,7 @@ def cmd_check(runner: _Runner) -> None:
             )
         if validated is not None:
             torsion = validated.torsion
-            runner.records.append(
-                _record(
-                    "normal",
-                    "pass" if bk.check_normal(torsion) else "fail",
-                    samples=len(torsion.points),
-                )
-            )
+            runner.records.append(_normal_record(torsion))
             for label, margin in bk.normal_margins(torsion).items():
                 runner.extras[f"margin_{label}"] = margin
         else:
@@ -510,13 +504,7 @@ def cmd_torsion(runner: _Runner) -> None:
             runner.extras[f"{name}_min"] = float(np.min(values))
             runner.extras[f"{name}_max"] = float(np.max(values))
     runner.extras["points"] = len(torsion.points)
-    runner.records.append(
-        _record(
-            "normal",
-            "pass" if bk.check_normal(torsion) else "fail",
-            samples=len(torsion.points),
-        )
-    )
+    runner.records.append(_normal_record(torsion))
 
 
 def cmd_hyperbolic(runner: _Runner) -> None:
@@ -559,9 +547,15 @@ def _xy_expr(text: str, chart: fm.Chart, flag: str) -> ex.Expr:
         raise DefinitionError(f"bad {flag}: {err}") from None
 
 
+def _propagation_error(err: pp.PropagationError) -> dict:
+    return _record("propagation", "error", witness=str(err))
+
+
 def cmd_propagate(runner: _Runner) -> None:
     runner.require_kind("bt")
     args, chart = runner.args, runner.defn.chart
+    if not math.isfinite(args.v0):
+        raise DefinitionError(f"--v0: expected a finite number, got {args.v0!r}")
     seed_u = _xy_expr(args.seed_u, chart, "--seed-u")
     if args.reference is not None:
         reference = _xy_expr(args.reference, chart, "--reference")
@@ -573,7 +567,7 @@ def cmd_propagate(runner: _Runner) -> None:
             expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
             runner.extras["sup_error"] = float(np.max(np.abs(result.v.values - expected.values)))
     except pp.PropagationError as err:
-        runner.records.append(_record("propagation", "error", witness=str(err)))
+        runner.records.append(_propagation_error(err))
         return
     pp.write_field_csv(result.v, runner.args.out)
     runner.extras["out"] = runner.args.out
@@ -590,7 +584,7 @@ def cmd_tzitzeica(runner: _Runner) -> None:
             body["h"], body["lambda"], body["alpha0"], body["beta0"], grid
         )
     except pp.PropagationError as err:
-        runner.records.append(_record("propagation", "error", witness=str(err)))
+        runner.records.append(_propagation_error(err))
         return
     pp.write_field_csv(result.h_prime, runner.args.out_hprime)
     runner.extras["out_hprime"] = runner.args.out_hprime

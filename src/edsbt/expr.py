@@ -13,25 +13,14 @@ performs constant folding only, so differentiation stays exact.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
-
-FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "atan")
-
-_NUMPY_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "atan": np.arctan,
-}
 
 
 class ExprError(ValueError):
@@ -56,6 +45,33 @@ class SamplingError(RuntimeError):
 
 Numeric = Union[int, Fraction]
 
+
+class _Domain(NamedTuple):
+    """Where an operation is undefined: `rejects(x, guard)` marks the
+    values it refuses, and the message names the cause, with a guard of
+    0.0 (`hard`) or a positive one (`guarded`)."""
+
+    rejects: Callable
+    hard: str
+    guarded: str
+
+    def check(self, x, guard: float):
+        bad = self.rejects(x, guard)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            raise DomainError(self.guarded if guard > 0 else self.hard)
+
+
+def _near_zero(x, guard: float):
+    return (abs(x) < guard) | (x == 0)
+
+
+# binding levels, weakest first; render parenthesizes by them
+_LEVEL_ADD = 10
+_LEVEL_MUL = 20
+_LEVEL_NEG = 25
+_LEVEL_POW = 30
+_LEVEL_ATOM = 40
+
 # every live node, keyed by (class, *field values); see Expr.__new__
 _NODES = weakref.WeakValueDictionary()
 
@@ -67,11 +83,13 @@ class Expr:
     Nodes are interned: constructing a node equal to a live one returns that
     node, so equal expressions are the same object and equality and hashing
     are identity.  Nodes are immutable.  `_fields` names the constructor
-    arguments in order.
+    arguments in order, and `level` is the node's binding level in rendered
+    text.
     """
 
     __slots__ = ("_names", "__weakref__")
     _fields: tuple = ()
+    level = _LEVEL_ATOM
 
     def __new__(cls, *args):
         if len(args) != len(cls._fields):
@@ -154,6 +172,14 @@ class Const(Expr):
     def _normalize(value: Numeric) -> tuple:
         return (Fraction(value),)
 
+    @property
+    def level(self) -> int:
+        # a negative constant renders with a leading '-' and a fraction with
+        # '/'; the weakest level that applies keeps re-parses faithful
+        if self.value < 0:
+            return _LEVEL_ADD
+        return _LEVEL_ATOM if self.value.denominator == 1 else _LEVEL_MUL
+
 
 class Var(Expr):
     """Chart coordinate."""
@@ -174,34 +200,40 @@ class Param(Expr):
 
 
 class _Binary(Expr):
+    # `op` is the infix symbol; Add, Sub and Mul also `apply` it to numbers
     __slots__ = _fields = ("left", "right")
     op = "?"
 
 
 class Add(_Binary):
     __slots__ = ()
-    op = "+"
+    op, level, apply = "+", _LEVEL_ADD, operator.add
 
 
 class Sub(_Binary):
     __slots__ = ()
-    op = "-"
+    op, level, apply = "-", _LEVEL_ADD, operator.sub
 
 
 class Mul(_Binary):
     __slots__ = ()
-    op = "*"
+    op, level, apply = "*", _LEVEL_MUL, operator.mul
 
 
 class Div(_Binary):
     __slots__ = ()
-    op = "/"
+    op, level = "/", _LEVEL_MUL
+    domain = _Domain(_near_zero, "division by zero", "denominator inside guard")
+
 
 
 class Pow(Expr):
-    """Integer power; the exponent is a plain int, never an expression."""
+    """Integer power; the exponent is a plain int, never an expression.
+    `domain` applies to the base of a negative power."""
 
     __slots__ = _fields = ("base", "exponent")
+    level = _LEVEL_POW
+    domain = _Domain(_near_zero, "zero raised to a negative power", "power base inside guard")
 
     @staticmethod
     def _normalize(base: Expr, exponent: int) -> tuple:
@@ -210,6 +242,7 @@ class Pow(Expr):
 
 class Neg(Expr):
     __slots__ = _fields = ("child",)
+    level = _LEVEL_NEG
 
 
 class Func(Expr):
@@ -217,7 +250,7 @@ class Func(Expr):
 
     @staticmethod
     def _normalize(name: str, arg: Expr) -> tuple:
-        if name not in FUNCTIONS:
+        if name not in _FUNCS:
             raise ExprError(f"unknown function '{name}'")
         return name, arg
 
@@ -340,39 +373,63 @@ def pow_int(a: Expr, n: int) -> Expr:
     return Pow(a, n)
 
 
-_EXACT_AT_ZERO = {"sin": ZERO, "tan": ZERO, "atan": ZERO, "cos": ONE, "exp": ONE}
+class _Function(NamedTuple):
+    """One elementary function: its numpy function, the outer factor of its
+    derivative as an Expr in the argument, its exact rational value at a
+    rational argument (None where it has none), and its domain (None when
+    it is defined everywhere)."""
+
+    numpy: Callable
+    derivative: Callable
+    exact: Callable
+    domain: Optional[_Domain]
+
+
+def _exact_at(point: int, value: int):
+    return lambda q: value if q == point else None
+
+
+def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
+
+
+_FUNCS = {
+    "sin": _Function(np.sin, lambda a: cos(a), _exact_at(0, 0), None),
+    "cos": _Function(np.cos, lambda a: neg(sin(a)), _exact_at(0, 1), None),
+    "tan": _Function(np.tan, lambda a: add(ONE, pow_int(tan(a), 2)), _exact_at(0, 0), None),
+    "exp": _Function(np.exp, lambda a: exp(a), _exact_at(0, 1), None),
+    "ln": _Function(
+        np.log, lambda a: div(ONE, a), _exact_at(1, 0),
+        _Domain(lambda x, guard: x <= guard, "ln argument too small", "ln argument too small"),
+    ),
+    "sqrt": _Function(
+        np.sqrt, lambda a: div(ONE, mul(Const(2), sqrt(a))), _exact_sqrt,
+        _Domain(lambda x, guard: x < guard, "sqrt of a negative", "sqrt argument inside guard"),
+    ),
+    "atan": _Function(
+        np.arctan, lambda a: div(ONE, add(ONE, pow_int(a, 2))), _exact_at(0, 0), None
+    ),
+}
+FUNCTIONS = tuple(_FUNCS)
 
 
 def func(name: str, arg: Expr) -> Expr:
-    # fold only the handful of exactly-rational special values
-    if isinstance(arg, Const):
-        if arg.value == 0 and name in _EXACT_AT_ZERO:
-            return _EXACT_AT_ZERO[name]
-        if name == "ln" and arg.value == 1:
-            return ZERO
-        if name == "sqrt" and arg.value >= 0:
-            root = _exact_sqrt(arg.value)
-            if root is not None:
-                return Const(root)
+    # fold only the exactly-rational values of the table
+    if isinstance(arg, Const) and name in _FUNCS:
+        value = _FUNCS[name].exact(arg.value)
+        if value is not None:
+            return Const(value)
     return Func(name, arg)
 
 
 # the folding constructor of each composite node class, by which
 # substitute rebuilds a node from its fields
 _FOLD = {Add: add, Sub: sub, Mul: mul, Div: div, Neg: neg, Pow: pow_int, Func: func}
-
-
-def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int) -> Optional[int]:
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 def sin(a) -> Expr:
@@ -415,49 +472,35 @@ def differentiate(e: Expr, var: str) -> Expr:
     """
     if var not in e.names():
         return ZERO
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         return ONE if e.name == var else ZERO
-    if isinstance(e, (Const, Param)):
+    if kind is Const or kind is Param:
         return ZERO
-    if isinstance(e, Add):
+    if kind is Add:
         return add(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Sub):
+    if kind is Sub:
         return sub(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Mul):
+    if kind is Mul:
         return add(
             mul(differentiate(e.left, var), e.right),
             mul(e.left, differentiate(e.right, var)),
         )
-    if isinstance(e, Div):
+    if kind is Div:
         num = sub(
             mul(differentiate(e.left, var), e.right),
             mul(e.left, differentiate(e.right, var)),
         )
         return div(num, pow_int(e.right, 2))
-    if isinstance(e, Neg):
+    if kind is Neg:
         return neg(differentiate(e.child, var))
-    if isinstance(e, Pow):
+    if kind is Pow:
         inner = differentiate(e.base, var)
         return mul(mul(Const(e.exponent), pow_int(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Func):
+    if kind is Func:
         inner = differentiate(e.arg, var)
-        a = e.arg
-        if e.name == "sin":
-            outer = cos(a)
-        elif e.name == "cos":
-            outer = neg(sin(a))
-        elif e.name == "tan":
-            outer = add(ONE, pow_int(tan(a), 2))
-        elif e.name == "exp":
-            outer = exp(a)
-        elif e.name == "ln":
-            outer = div(ONE, a)
-        elif e.name == "sqrt":
-            outer = div(ONE, mul(Const(2), sqrt(a)))
-        else:  # atan
-            outer = div(ONE, add(ONE, pow_int(a, 2)))
-        return mul(outer, inner)
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+        return mul(_FUNCS[e.name].derivative(e.arg), inner)
+    raise TypeError(f"cannot differentiate {kind.__name__}")
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
@@ -477,130 +520,75 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 # evaluation
 
 
-def _require(cond_array, message: str):
-    # cond_array: boolean scalar or array; raise when any entry violates
-    if np.any(cond_array):
-        raise DomainError(message)
-
-
-def evaluate(e: Expr, env: Mapping[str, object], guard: Optional[float] = None):
+def evaluate(e: Expr, env: Mapping[str, object], guard: float = 0.0):
     """Numeric value of `e` with names bound by `env`.
 
     Values in `env` may be floats or numpy arrays (broadcast elementwise).
-    With a guard, denominators and ln/sqrt arguments smaller than it in
-    absolute value raise DomainError; without one, only hard domain
-    violations (division by zero, ln/sqrt of a nonpositive) do.
+    DomainError is raised for a denominator or negative-power base x with
+    |x| < guard or x == 0, an ln argument <= guard, or a sqrt argument
+    < guard.  The default guard 0.0 leaves only the hard checks; the
+    message says whether a hard check or a positive guard fired.  A
+    denominator is evaluated before its numerator.
     """
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind is Const:
         return float(e.value)
-    if isinstance(e, (Var, Param)):
+    if kind is Var or kind is Param:
         try:
             return env[e.name]
         except KeyError:
             raise ExprError(f"unbound name '{e.name}'") from None
-    if isinstance(e, Add):
-        return evaluate(e.left, env, guard) + evaluate(e.right, env, guard)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env, guard) - evaluate(e.right, env, guard)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env, guard) * evaluate(e.right, env, guard)
-    if isinstance(e, Div):
+    if kind is Add or kind is Sub or kind is Mul:
+        return kind.apply(evaluate(e.left, env, guard), evaluate(e.right, env, guard))
+    if kind is Div:
         denom = evaluate(e.right, env, guard)
-        bound = guard if guard is not None else 0.0
-        if bound > 0.0:
-            _require(np.abs(denom) < bound, "denominator inside guard")
-        else:
-            _require(denom == 0, "division by zero")
+        Div.domain.check(denom, guard)
         return evaluate(e.left, env, guard) / denom
-    if isinstance(e, Neg):
+    if kind is Neg:
         return -evaluate(e.child, env, guard)
-    if isinstance(e, Pow):
+    if kind is Pow:
         base = evaluate(e.base, env, guard)
         if e.exponent < 0:
-            bound = guard if guard is not None else 0.0
-            if bound > 0.0:
-                _require(np.abs(base) < bound, "power base inside guard")
-            else:
-                _require(base == 0, "zero raised to a negative power")
+            Pow.domain.check(base, guard)
         return base**e.exponent
-    if isinstance(e, Func):
+    if kind is Func:
+        fn = _FUNCS[e.name]
         arg = evaluate(e.arg, env, guard)
-        if e.name == "ln":
-            bound = guard if guard is not None else 0.0
-            _require(arg <= bound, "ln argument too small")
-        elif e.name == "sqrt":
-            if guard is not None:
-                _require(arg < guard, "sqrt argument inside guard")
-            else:
-                _require(arg < 0, "sqrt of a negative")
-        return _NUMPY_FUNCS[e.name](arg)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+        if fn.domain is not None:
+            fn.domain.check(arg, guard)
+        return fn.numpy(arg)
+    raise TypeError(f"cannot evaluate {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------
 # rendering (inverse of parse, minimal parentheses)
 
-_LEVEL_ADD = 10
-_LEVEL_MUL = 20
-_LEVEL_NEG = 25
-_LEVEL_POW = 30
-_LEVEL_ATOM = 40
 
-
-def _level(e: Expr) -> int:
-    if isinstance(e, Const):
-        if e.value < 0:
-            # negative constants render with a leading '-', and fractions
-            # additionally with '/'; weakest level keeps re-parses faithful
-            return _LEVEL_ADD
-        return _LEVEL_ATOM if e.value.denominator == 1 else _LEVEL_MUL
-    if isinstance(e, (Var, Param, Func)):
-        return _LEVEL_ATOM
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_NEG
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    raise TypeError(type(e).__name__)
+def _operand(e: Expr, level: int) -> str:
+    # an operand binding weaker than `level` needs parentheses
+    text = render(e)
+    return f"({text})" if e.level < level else text
 
 
 def render(e: Expr) -> str:
     """Serialize to the expression grammar; parse(render(e)) is e."""
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind is Const:
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(e, (Var, Param)):
+    if kind is Var or kind is Param:
         return e.name
-    if isinstance(e, Func):
+    if kind is Func:
         return f"{e.name}({render(e.arg)})"
-    if isinstance(e, Neg):
-        inner = render(e.child)
-        if _level(e.child) < _LEVEL_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        base = render(e.base)
-        ok_bare = isinstance(e.base, (Var, Param, Func)) or (
-            isinstance(e.base, Const)
-            and e.base.value >= 0
-            and e.base.value.denominator == 1
-        )
-        if not ok_bare:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
+    if kind is Neg:
+        return f"-{_operand(e.child, _LEVEL_NEG)}"
+    if kind is Pow:
+        return f"{_operand(e.base, _LEVEL_ATOM)}^{e.exponent}"
     if isinstance(e, _Binary):
-        lvl = _level(e)
-        left = render(e.left)
-        if _level(e.left) < lvl:
-            left = f"({left})"
-        right = render(e.right)
-        if _level(e.right) <= lvl:
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
-    raise TypeError(type(e).__name__)
+        # operators associate to the left: an equal-level right operand
+        # needs parentheses too
+        return f"{_operand(e.left, e.level)}{e.op}{_operand(e.right, e.level + 1)}"
+    raise TypeError(kind.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +717,7 @@ class _Parser:
             return e
         if tok.kind == "ident":
             if self.peek().kind == "(":
-                if tok.text not in FUNCTIONS:
+                if tok.text not in _FUNCS:
                     raise ExprSyntaxError(f"unknown function '{tok.text}'", tok.pos)
                 self.take()
                 arg = self.expr()
@@ -776,7 +764,8 @@ class SampleSpec:
     """Randomized verification policy: where to sample, how many, how strict.
 
     `box` maps coordinate names to intervals; `params` maps parameter names
-    to fixed values or to (lo, hi) ranges that are sampled per point.
+    to fixed values or to (lo, hi) ranges that are sampled per point.  Every
+    number is finite, and an interval or range has lo < hi.
     """
 
     box: Mapping[str, tuple] = field(default_factory=dict)
@@ -789,13 +778,21 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if not self.guard > 0:  # NaN compares false, so it fails here
-            raise ValueError("guard must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        for name, (lo, hi) in self.box.items():
+        for name in ("guard", "tolerance"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN compares false, so it fails here
+                raise ValueError(f"{name} must be positive")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
+        ranges = {k: v for k, v in self.params.items() if isinstance(v, tuple)}
+        for name, (lo, hi) in [*self.box.items(), *ranges.items()]:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite interval for '{name}'")
             if not lo < hi:
                 raise ValueError(f"degenerate interval for '{name}'")
+        for name, value in self.params.items():
+            if name not in ranges and not math.isfinite(value):
+                raise ValueError(f"non-finite value for '{name}'")
 
 
 _MAX_REDRAWS = 80

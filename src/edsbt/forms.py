@@ -71,6 +71,18 @@ class Chart:
         return SampleSpec(box=self.box, params=self.params, **overrides)
 
 
+DEFAULT_INTERVAL = (-1.5, 1.5)
+
+
+def default_chart(coords: tuple, box=None, params=None) -> Chart:
+    """A chart on `coords` whose box gives DEFAULT_INTERVAL to every
+    coordinate that `box` leaves out (after the ones it names)."""
+    intervals = dict(box or {})
+    for c in coords:
+        intervals.setdefault(c, DEFAULT_INTERVAL)
+    return Chart(coords, intervals, params or {})
+
+
 def resolve_spec(chart: Chart, spec: Optional[SampleSpec]) -> SampleSpec:
     """`spec`, or the chart's default policy when it is None."""
     return chart.sample_spec() if spec is None else spec
@@ -291,7 +303,7 @@ def coefficient_index(chart: Chart, degree: int) -> dict:
 
 
 def coefficient_matrix_at(
-    forms: Sequence[DifferentialForm], pt: Point, guard: Optional[float] = None
+    forms: Sequence[DifferentialForm], pt: Point, guard: float = 0.0
 ) -> np.ndarray:
     """Numeric coefficient vectors of same-degree forms, one column each,
     rows ordered by `basis_tuples(chart.dim, degree)`.  Forms are evaluated
@@ -308,7 +320,7 @@ def coefficient_matrix_at(
     return out
 
 
-def coefficients_at(a: DifferentialForm, pt: Point, guard: Optional[float] = None) -> np.ndarray:
+def coefficients_at(a: DifferentialForm, pt: Point, guard: float = 0.0) -> np.ndarray:
     """Numeric coefficient vector in the coordinate wedge basis.
 
     Ordered by `basis_tuples(chart.dim, degree)`, length C(n, k).
@@ -316,7 +328,9 @@ def coefficients_at(a: DifferentialForm, pt: Point, guard: Optional[float] = Non
     return coefficient_matrix_at((a,), pt, guard)[:, 0]
 
 
-def coframe_matrix_at(coframe: Sequence[DifferentialForm], pt: Point, guard=None) -> np.ndarray:
+def coframe_matrix_at(
+    coframe: Sequence[DifferentialForm], pt: Point, guard: float = 0.0
+) -> np.ndarray:
     """S[i, j] = coefficient of the j-th coordinate differential in coframe[i].
 
     Raises SingularCoframeError when S has a non-finite entry or condition
@@ -371,7 +385,7 @@ def coframe_coefficients_at(
     a: DifferentialForm,
     coframe: Sequence[DifferentialForm],
     pt: Point,
-    guard: Optional[float] = None,
+    guard: float = 0.0,
 ) -> np.ndarray:
     """Expand `a` in the wedge basis generated by `coframe` at one point.
 

@@ -26,7 +26,6 @@ from .expr import CheckResult, Expr, Point, SampleSpec
 from .forms import Chart, DifferentialForm
 
 MA_COORDS = ("x", "y", "u", "p", "q")
-DEFAULT_INTERVAL = (-1.5, 1.5)
 
 
 class DegenerateSystemError(ValueError):
@@ -39,10 +38,7 @@ class DegeneratePencilError(RuntimeError):
 
 def standard_chart(box=None, params=None) -> Chart:
     """The (x, y, u, p, q) contact chart with a default sampling box."""
-    intervals = dict(box or {})
-    for c in MA_COORDS:
-        intervals.setdefault(c, DEFAULT_INTERVAL)
-    return Chart(MA_COORDS, intervals, params or {})
+    return fm.default_chart(MA_COORDS, box, params)
 
 
 def contact_form(chart: Chart) -> DifferentialForm:

@@ -73,6 +73,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if not np.all(np.isfinite((self.x0, self.x1, self.y0, self.y1))):
+            raise ValueError("grid bounds must be finite")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("grid rectangle must have positive extent")
 
@@ -185,13 +187,26 @@ def _require_interior(grid: Grid) -> None:
         raise PropagationError(f"grid {grid.nx}x{grid.ny} has no interior node; need 3 per axis")
 
 
+# second-order central differences of a grid array at the interior nodes
+
+
+def _d_x(a, grid: Grid) -> np.ndarray:
+    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2 * grid.hx)
+
+
+def _d_y(a, grid: Grid) -> np.ndarray:
+    return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2 * grid.hy)
+
+
+def _d_xy(a, grid: Grid) -> np.ndarray:
+    return (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) / (4 * grid.hx * grid.hy)
+
+
 def _cross_residual(P, Q, grid) -> float:
     """max |P_y - Q_x| over the interior nodes, by central differences: the
     cross-derivative test of u_x = P, u_y = Q."""
     P, Q = (np.broadcast_to(a, (grid.ny, grid.nx)) for a in (P, Q))
-    dy_P = (P[2:, 1:-1] - P[:-2, 1:-1]) / (2 * grid.hy)
-    dx_Q = (Q[1:-1, 2:] - Q[1:-1, :-2]) / (2 * grid.hx)
-    return float(np.max(np.abs(dy_P - dx_Q)))
+    return float(np.max(np.abs(_d_y(P, grid) - _d_x(Q, grid))))
 
 
 def _fixed_params(chart) -> dict:
@@ -375,20 +390,14 @@ def wavelike_residual(v: Field, f, params: Optional[dict] = None) -> ResidualRep
     vals = v.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("wavelike_residual requires a finite field")
-    hx, hy = grid.hx, grid.hy
-    vx = (vals[1:-1, 2:] - vals[1:-1, :-2]) / (2 * hx)
-    vy = (vals[2:, 1:-1] - vals[:-2, 1:-1]) / (2 * hy)
-    vxy = (
-        vals[2:, 2:] - vals[2:, :-2] - vals[:-2, 2:] + vals[:-2, :-2]
-    ) / (4 * hx * hy)
     X, Y = grid.mesh()
     env = dict(params or {})
     env["x"] = X[1:-1, 1:-1]
     env["y"] = Y[1:-1, 1:-1]
     env["u"] = vals[1:-1, 1:-1]
-    env["p"] = vx
-    env["q"] = vy
-    resid = np.abs(vxy - np.asarray(ex.evaluate(f, env), dtype=float))
+    env["p"] = _d_x(vals, grid)
+    env["q"] = _d_y(vals, grid)
+    resid = np.abs(_d_xy(vals, grid) - np.asarray(ex.evaluate(f, env), dtype=float))
     return ResidualReport(
         max_residual=float(np.max(resid)),
         mean_residual=float(np.mean(resid)),
@@ -487,19 +496,14 @@ def tzitzeica_residual(h_prime: Field) -> ResidualReport:
     count = int(usable.sum())
     if count == 0:
         raise SingularFieldError("no usable interior nodes for the residual")
-    lxy = (
-        L[2:, 2:] - L[2:, :-2] - L[:-2, 2:] + L[:-2, :-2]
-    ) / (4 * grid.hx * grid.hy)
     center = vals[1:-1, 1:-1]
-    resid = np.abs(lxy - center + center**-2.0)[usable]
+    resid = np.abs(_d_xy(L, grid) - center + center**-2.0)[usable]
     return ResidualReport(
         max_residual=float(np.max(resid)),
         mean_residual=float(np.mean(resid)),
         nodes=count,
         excluded=total - count,
     )
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,13 @@ class TestDefinitionParsing:
             lambda t: t + "\n[spec]\ntolerance = 1e-3\n",
             lambda t: t.replace("[chart]\n", "[chart]\nguard = 1e-3\n", 1),  # names no coordinate
             lambda t: t.replace("G = -q + (2/lam)*sin((u - v)/2)", "G = -q + ²"),  # superscript digit
+            lambda t: t.replace("x = -1.5, 1.5", "x = -inf, inf"),  # non-finite numbers
+            lambda t: t.replace("u = -1.5, 1.5", "u = 0, inf"),
+            lambda t: t.replace("lam = 1.0", "lam = inf"),
+            lambda t: t.replace("lam = 1.0", "lam = nan"),
+            lambda t: t.replace("lam = 1.0", "lam = [0.5, inf]"),
+            lambda t: t + "\n[spec]\nguard = inf\n",
+            lambda t: TZ_DEF.replace("lambda = 1", "lambda = nan"),
         ],
     )
     def test_malformed_definitions(self, tmp_path, mangle):
@@ -196,12 +203,34 @@ class TestExitCodes:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
-        "flags", [("--samples", "0"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0")]
+        "flags",
+        [("--samples", "0"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf")],
     )
     def test_bad_sampling_flag_is_two(self, tmp_path, capsys, flags):
         code, report = run(capsys, "check", write_def(tmp_path, SG_DEF), *flags)
         assert code == 2
         assert report is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("propagate", "--seed-u", "0", "--v0", "1", "--grid", "5,5",
+             "--domain", "0,1,0,inf", "--out", "OUT"),
+            ("propagate", "--seed-u", "0", "--v0", "inf", "--grid", "5,5",
+             "--domain", "0,1,0,1", "--out", "OUT"),
+            ("torsion", "--at", AT_REFERENCE.replace("p=0.3", "p=nan")),
+            ("torsion", "--at", AT_REFERENCE.replace("q=0.7", "q=-inf")),
+        ],
+    )
+    def test_nonfinite_flag_number_is_two(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        flags = [str(tmp_path / "v.csv") if f == "OUT" else f for f in flags]
+        code = cli.main([command, write_def(tmp_path, SG_DEF), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:

@@ -7,8 +7,9 @@ import pickle
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edsbt import backlund, expr
 from edsbt.expr import (
@@ -435,3 +436,157 @@ def test_unshared_node_is_released():
     del e
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"box": {"u": (0.0, math.inf)}},
+        {"box": {"u": (-math.inf, math.inf)}},
+        {"params": {"lambda": math.inf}},
+        {"params": {"lambda": math.nan}},
+        {"params": {"lambda": (0.5, math.inf)}},
+        {"params": {"lambda": (2.0, 0.5)}},  # a reversed range, by the box rule
+        {"tolerance": math.inf},
+        {"guard": math.inf},
+    ],
+)
+def test_sample_spec_rejects_non_finite_numbers(kwargs):
+    # an infinite interval draws nan (or inf) at every sample, and a check
+    # over such points can pass without testing anything
+    with pytest.raises(ValueError):
+        SampleSpec(**{"box": {"u": (-1.0, 1.0)}, **kwargs})
+
+
+# ---------------------------------------------------------------------------
+# the tree walk that `evaluate` replaced, kept as its oracle: four guard
+# branches, with guard None for the hard checks only
+
+
+def _walk_require(cond_array, message):
+    if np.any(cond_array):
+        raise DomainError(message)
+
+
+_WALK_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "atan": np.arctan,
+}
+
+
+def _walk_evaluate(e, env, guard=None):
+    if isinstance(e, expr.Const):
+        return float(e.value)
+    if isinstance(e, (expr.Var, expr.Param)):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise expr.ExprError(f"unbound name '{e.name}'") from None
+    if isinstance(e, expr.Add):
+        return _walk_evaluate(e.left, env, guard) + _walk_evaluate(e.right, env, guard)
+    if isinstance(e, expr.Sub):
+        return _walk_evaluate(e.left, env, guard) - _walk_evaluate(e.right, env, guard)
+    if isinstance(e, expr.Mul):
+        return _walk_evaluate(e.left, env, guard) * _walk_evaluate(e.right, env, guard)
+    if isinstance(e, expr.Div):
+        denom = _walk_evaluate(e.right, env, guard)
+        bound = guard if guard is not None else 0.0
+        if bound > 0.0:
+            _walk_require(np.abs(denom) < bound, "denominator inside guard")
+        else:
+            _walk_require(denom == 0, "division by zero")
+        return _walk_evaluate(e.left, env, guard) / denom
+    if isinstance(e, expr.Neg):
+        return -_walk_evaluate(e.child, env, guard)
+    if isinstance(e, expr.Pow):
+        base = _walk_evaluate(e.base, env, guard)
+        if e.exponent < 0:
+            bound = guard if guard is not None else 0.0
+            if bound > 0.0:
+                _walk_require(np.abs(base) < bound, "power base inside guard")
+            else:
+                _walk_require(base == 0, "zero raised to a negative power")
+        return base**e.exponent
+    if isinstance(e, expr.Func):
+        arg = _walk_evaluate(e.arg, env, guard)
+        if e.name == "ln":
+            bound = guard if guard is not None else 0.0
+            _walk_require(arg <= bound, "ln argument too small")
+        elif e.name == "sqrt":
+            if guard is not None:
+                _walk_require(arg < guard, "sqrt argument inside guard")
+            else:
+                _walk_require(arg < 0, "sqrt of a negative")
+        return _WALK_FUNCS[e.name](arg)
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+# raw nodes, so that zero denominators, zero bases of negative powers and
+# nonpositive ln/sqrt arguments reach evaluation unfolded
+_raw_leaf = st.one_of(
+    _names.map(Var),
+    st.just(Param("lambda")),
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]).map(Const),
+)
+
+
+def _raw_extend(children):
+    binary = st.tuples(children, children)
+    return st.one_of(
+        binary.map(lambda t: expr.Add(*t)),
+        binary.map(lambda t: expr.Sub(*t)),
+        binary.map(lambda t: expr.Mul(*t)),
+        binary.map(lambda t: expr.Div(*t)),
+        children.map(expr.Neg),
+        st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
+            lambda t: expr.Pow(*t)
+        ),
+        st.tuples(st.sampled_from(expr.FUNCTIONS), children).map(
+            lambda t: expr.Func(*t)
+        ),
+    )
+
+
+raw_exprs = st.recursive(_raw_leaf, _raw_extend, max_leaves=10)
+# on, just inside and just outside the guards 1e-6 and 0.5, and around zero
+_near_guards = st.sampled_from(
+    [0.0, -0.0, 1e-9, -1e-9, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, 0.5, -0.5, 0.25, 1.0, -1.5]
+)
+_value = st.one_of(_near_guards, st.floats(min_value=-2.0, max_value=2.0))
+_binding = st.one_of(_value, st.lists(_value, min_size=3, max_size=3).map(np.array))
+walk_envs = st.fixed_dictionaries({name: _binding for name in ["x", "y", "u", "lambda"]})
+
+
+def _outcome(evaluate_fn, e, env, guard):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", evaluate_fn(e, env, guard)
+    except (ArithmeticError, expr.ExprError) as err:
+        return type(err), str(err)
+
+
+_AT_ZERO = {"x": 0.0, "y": -1.0, "u": 1e-7, "lambda": 1.0}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw_exprs, walk_envs, st.sampled_from([0.0, 1e-6, 0.5]))
+# a denominator is evaluated, and so rejected, before its numerator
+@example(expr.Div(expr.Func("ln", Var("y")), expr.Func("sqrt", Var("y"))), _AT_ZERO, 0.0)
+@example(expr.Div(expr.Func("ln", Var("y")), expr.Func("sqrt", Var("u"))), _AT_ZERO, 1e-6)
+@example(expr.Pow(Var("u"), -2), _AT_ZERO, 1e-6)
+@example(expr.Pow(Var("x"), -1), _AT_ZERO, 0.0)
+def test_evaluate_matches_the_tree_walk(e, env, guard):
+    kind, got = _outcome(evaluate, e, env, guard)
+    want_kind, want = _outcome(_walk_evaluate, e, env, None if guard == 0.0 else guard)
+    assert kind == want_kind
+    if kind != "value":
+        assert got == want  # the same message
+        return
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

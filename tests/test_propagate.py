@@ -54,6 +54,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             pp.Grid(3, 3, 0.0, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0, math.inf, 0.0, 1.0), (-math.inf, 0.0, 0.0, 1.0),
+         (0.0, 1.0, 0.0, math.inf), (0.0, 1.0, -math.inf, 1.0)],
+    )
+    def test_infinite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            pp.Grid(3, 3, *bounds)
+
 
 class TestField:
     def test_shape_checked(self):
