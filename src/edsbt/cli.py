@@ -663,8 +663,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        runner = _Runner(args)
-        COMMANDS[args.command](runner)
+        # every non-finite value already reaches a verdict as inf or an error
+        with np.errstate(all="ignore"):
+            runner = _Runner(args)
+            COMMANDS[args.command](runner)
     except DefinitionError as err:
         print(f"edsbt: {err}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ performs constant folding only, so differentiation stays exact.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -72,8 +71,14 @@ _LEVEL_NEG = 25
 _LEVEL_POW = 30
 _LEVEL_ATOM = 40
 
-# every live node, keyed by (class, *field values); see Expr.__new__
-_NODES = weakref.WeakValueDictionary()
+# a weak reference to every live node, keyed by (class, *field values); a
+# node's death removes its key (see Expr.__new__)
+_NODES = {}
+
+
+def _forget(ref):
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 class Expr:
@@ -96,12 +101,13 @@ class Expr:
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments")
         args = cls._normalize(*args)
         key = (cls, *args)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
                 object.__setattr__(node, name, value)
-            _NODES[key] = node
+            _NODES[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     @staticmethod
@@ -153,7 +159,7 @@ def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
+        return Const(value)
     raise TypeError(f"cannot use {type(value).__name__} in an expression")
 
 
@@ -167,6 +173,13 @@ def as_expr(value, variables: Iterable[str], parameters: Iterable[str] = ()) -> 
 
 class Const(Expr):
     __slots__ = _fields = ("value",)
+
+    def __new__(cls, value):
+        # an int or Fraction equals and hashes like the Fraction of its key,
+        # so a live node is found without building a new Fraction
+        ref = _NODES.get((cls, value)) if type(value) in (int, Fraction) else None
+        node = ref and ref()
+        return super().__new__(cls, value) if node is None else node
 
     @staticmethod
     def _normalize(value: Numeric) -> tuple:
@@ -200,31 +213,30 @@ class Param(Expr):
 
 
 class _Binary(Expr):
-    # `op` is the infix symbol; Add, Sub and Mul also `apply` it to numbers
+    # `op` is the infix symbol, in rendered text and in compiled code
     __slots__ = _fields = ("left", "right")
     op = "?"
 
 
 class Add(_Binary):
     __slots__ = ()
-    op, level, apply = "+", _LEVEL_ADD, operator.add
+    op, level = "+", _LEVEL_ADD
 
 
 class Sub(_Binary):
     __slots__ = ()
-    op, level, apply = "-", _LEVEL_ADD, operator.sub
+    op, level = "-", _LEVEL_ADD
 
 
 class Mul(_Binary):
     __slots__ = ()
-    op, level, apply = "*", _LEVEL_MUL, operator.mul
+    op, level = "*", _LEVEL_MUL
 
 
 class Div(_Binary):
     __slots__ = ()
     op, level = "/", _LEVEL_MUL
     domain = _Domain(_near_zero, "division by zero", "denominator inside guard")
-
 
 
 class Pow(Expr):
@@ -521,7 +533,8 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 
 
 def evaluate(e: Expr, env: Mapping[str, object], guard: float = 0.0):
-    """Numeric value of `e` with names bound by `env`.
+    """Numeric value of `e` with names bound by `env`: the one-root case of
+    `compile`.
 
     Values in `env` may be floats or numpy arrays (broadcast elementwise).
     DomainError is raised for a denominator or negative-power base x with
@@ -530,34 +543,95 @@ def evaluate(e: Expr, env: Mapping[str, object], guard: float = 0.0):
     message says whether a hard check or a positive guard fired.  A
     denominator is evaluated before its numerator.
     """
-    kind = type(e)
-    if kind is Const:
-        return float(e.value)
-    if kind is Var or kind is Param:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"unbound name '{e.name}'") from None
-    if kind is Add or kind is Sub or kind is Mul:
-        return kind.apply(evaluate(e.left, env, guard), evaluate(e.right, env, guard))
-    if kind is Div:
-        denom = evaluate(e.right, env, guard)
-        Div.domain.check(denom, guard)
-        return evaluate(e.left, env, guard) / denom
-    if kind is Neg:
-        return -evaluate(e.child, env, guard)
-    if kind is Pow:
-        base = evaluate(e.base, env, guard)
-        if e.exponent < 0:
-            Pow.domain.check(base, guard)
-        return base**e.exponent
-    if kind is Func:
-        fn = _FUNCS[e.name]
-        arg = evaluate(e.arg, env, guard)
-        if fn.domain is not None:
-            fn.domain.check(arg, guard)
-        return fn.numpy(arg)
-    raise TypeError(f"cannot evaluate {kind.__name__}")
+    return compile((e,))(env, guard)[0]
+
+
+# what compiled code calls: each function by its name, and the domain check
+# of each function, Div and Pow as `<name>_domain`
+_SCOPE = {"ExprError": ExprError, "Fraction": Fraction, **{n: f.numpy for n, f in _FUNCS.items()}}
+_SCOPE.update((f"{n}_domain", owner.domain.check)
+              for n, owner in [*_FUNCS.items(), ("Div", Div), ("Pow", Pow)] if owner.domain)
+_SOURCE = """\
+def compiled(env, guard):
+    try:
+        {body}
+    except KeyError as err:
+        raise ExprError(f"unbound name '{{err.args[0]}}'") from None
+    return ({results})
+"""
+# compiled functions by the ids of their roots; a root's death drops its entry
+_COMPILED = {}
+
+
+def compile(roots: Iterable[Expr]) -> Callable:
+    """`fn(env, guard)`: the tuple of the values of `roots` by `evaluate`'s
+    rule, from straight-line code with one statement per distinct node, in
+    the order a tree walk of the roots first visits it.  So the walk's first
+    failing guard or unbound name raises, and the values are bitwise the
+    walk's.  Each temporary is deleted after its last use."""
+    roots = tuple(roots)
+    key = tuple(map(id, roots))
+    if key not in _COMPILED:
+        fn = _COMPILED[key] = _emit(roots)
+        fn.refs = [weakref.ref(r, lambda _ref: _COMPILED.pop(key, None)) for r in roots]
+    return _COMPILED[key]
+
+
+def _emit(roots: tuple) -> Callable:
+    temps, body = {}, []  # node -> its temporary; (statement, temporaries it reads)
+
+    def put(e, code, *reads):
+        temps[e] = f"t{len(temps)}"
+        body.append((f"{temps[e]} = {code}", reads))
+        return temps[e]
+
+    def check(name, x):
+        body.append((f"{name}_domain({x}, guard)", (x,)))
+
+    def visit(e):
+        kind = type(e)
+        if e in temps:
+            return temps[e]
+        if kind is Const:
+            try:
+                return put(e, repr(float(e.value)))
+            except OverflowError:  # raise it where the walk did
+                return put(e, f"float(Fraction({e.value.numerator}, {e.value.denominator}))")
+        if kind is Var or kind is Param:
+            return put(e, f"env[{e.name!r}]")
+        if kind is Div:  # a denominator is checked before its numerator is computed
+            right = visit(e.right)
+            check("Div", right)
+            return put(e, f"{visit(e.left)} / {right}", temps[e.left], right)
+        if isinstance(e, _Binary):
+            left, right = visit(e.left), visit(e.right)
+            return put(e, f"{left} {e.op} {right}", left, right)
+        if kind is Neg:
+            child = visit(e.child)
+            return put(e, f"-{child}", child)
+        if kind is Pow:
+            base = visit(e.base)
+            if e.exponent < 0:
+                check("Pow", base)
+            return put(e, f"{base} ** {e.exponent}", base)
+        if kind is not Func:
+            raise TypeError(f"cannot evaluate {kind.__name__}")
+        arg = visit(e.arg)
+        if _FUNCS[e.name].domain is not None:
+            check(e.name, arg)
+        return put(e, f"{e.name}({arg})", arg)
+
+    results = [visit(r) for r in roots]
+    last = {t: i for i, (_, reads) in enumerate(body) for t in reads}
+    lines = []
+    for i, (statement, reads) in enumerate(body):
+        dead = sorted({t for t in reads if last[t] == i}.difference(results))
+        lines += [statement, f"del {', '.join(dead)}"] if dead else [statement]
+    source = _SOURCE.format(body="\n        ".join(lines or ["pass"]),
+                            results="".join(r + ", " for r in results))
+    scope = {}
+    exec(source, _SCOPE, scope)
+    return scope["compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +958,10 @@ def equiv_random(e1: Expr, e2: Expr, spec: SampleSpec) -> CheckResult:
     """Randomized identity test: |e1 - e2| <= tol*(1 + |e1| + |e2|) at every
     accepted sample.  max_violation is the worst relative deviation."""
 
+    pair = compile((e1, e2))
+
     def deviation(pt: Point) -> float:
-        env = pt.env()
-        v1 = evaluate(e1, env, spec.guard)
-        v2 = evaluate(e2, env, spec.guard)
+        v1, v2 = pair(pt.env(), spec.guard)
         return abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
 
     return sampled_check(spec, deviation)

@@ -307,16 +307,16 @@ def coefficient_matrix_at(
 ) -> np.ndarray:
     """Numeric coefficient vectors of same-degree forms, one column each,
     rows ordered by `basis_tuples(chart.dim, degree)`.  Forms are evaluated
-    in the order given."""
+    in the order given, by one compiled call over all their coefficients."""
     n, k = forms[0].chart.dim, forms[0].degree
     if any(a.degree != k for a in forms):
         raise ValueError("forms must share one degree")
     index = _basis_index(n, k)
     out = np.zeros((len(index), len(forms)))
-    env = pt.env()
-    for j, a in enumerate(forms):
-        for t, c in a.coeffs.items():
-            out[index[t], j] = ex.evaluate(c, env, guard)
+    entries = [(index[t], j, c) for j, a in enumerate(forms) for t, c in a.coeffs.items()]
+    if entries:
+        rows, cols, roots = zip(*entries)
+        out[rows, cols] = ex.compile(roots)(pt.env(), guard)
     return out
 
 

@@ -174,12 +174,10 @@ def hyperbolicity(sys: MongeAmpereSystem,
         ex.Const(2), top_coeff(fm.wedge(fm.wedge(sys.omega, dtheta), sys.theta))
     )
     s2_expr = top_coeff(fm.wedge(fm.wedge(dtheta, dtheta), sys.theta))
+    sigma = ex.compile((s0_expr, s1_expr, s2_expr))
 
     def classify(pt: Point) -> PencilSample:
-        env = pt.env()
-        s0 = float(ex.evaluate(s0_expr, env, spec.guard))
-        s1 = float(ex.evaluate(s1_expr, env, spec.guard))
-        s2 = float(ex.evaluate(s2_expr, env, spec.guard))
+        s0, s1, s2 = map(float, sigma(pt.env(), spec.guard))
         scale = max(abs(s0), abs(s1), abs(s2))
         if scale <= spec.tolerance:
             raise DegeneratePencilError(

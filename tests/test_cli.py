@@ -1,13 +1,16 @@
 """End-to-end tests for the command line: definition parsing, report
 shape and reproducibility, exit codes, and the propagation commands.
 
-main() is called in-process; stdout is captured as the report channel.
+main() is called in-process, except where a test reads the whole stderr
+of a child process; stdout is captured as the report channel.
 """
 
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +234,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert "finite" in captured.err
         assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+
+    def test_overflow_leaves_one_stderr_line(self, tmp_path):
+        # exp(1000*u) overflows at most samples; numpy's RuntimeWarnings
+        # must not reach stderr ahead of the breakdown message
+        text = SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", "F = p + exp(1000*u)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "edsbt.cli", "check", write_def(tmp_path, text),
+             "--samples", "8"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "edsbt: adapted-derivative conditions unsatisfied (residual inf)\n"
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:

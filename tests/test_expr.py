@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import pickle
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -590,3 +591,86 @@ def test_evaluate_matches_the_tree_walk(e, env, guard):
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _walk_roots(roots, env, guard=None):
+    # several roots walked one after another: the first failure wins
+    return tuple(_walk_evaluate(r, env, guard) for r in roots)
+
+
+def _run_compiled(roots, env, guard):
+    return expr.compile(roots)(env, guard)
+
+
+_SHARED = expr.Div(expr.Func("sin", Var("x")), Var("u"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # the last root divides shared subtrees of the others
+    st.lists(raw_exprs, min_size=1, max_size=3).map(lambda rs: (*rs, expr.Div(rs[-1], rs[0]))),
+    walk_envs,
+    st.sampled_from([0.0, 1e-6, 0.5]),
+)
+# roots that share subtrees, on an array environment
+@example((_SHARED, expr.Mul(_SHARED, Var("x")), expr.Neg(_SHARED)),
+         {**_AT_ZERO, "x": np.array([0.5, -1.0, 2.0]), "u": np.array([1.0, 2.0, -0.5])}, 0.0)
+# a failing guard in the second root after a passing first root
+@example((expr.Add(Var("x"), Var("y")), expr.Func("ln", Var("y"))), _AT_ZERO, 0.0)
+@example((expr.Func("sqrt", Var("u")), expr.Div(Var("y"), Var("x"))), _AT_ZERO, 1e-6)
+# an unbound name after a failing guard in walk order, and before one
+@example((expr.Func("sqrt", Var("y")), expr.Add(Var("w"), Var("x"))), _AT_ZERO, 0.0)
+@example((expr.Div(Var("w"), Var("x")),), _AT_ZERO, 0.0)
+@example((Var("w"), expr.Func("sqrt", Var("y"))), _AT_ZERO, 0.0)
+# a constant beyond the float range overflows where the walk converts it
+@example((expr.Div(Const(10**400), Var("x")),), _AT_ZERO, 0.0)
+@example((expr.Div(Const(10**400), Var("y")),), _AT_ZERO, 0.0)
+def test_compile_matches_the_tree_walk(roots, env, guard):
+    kind, got = _outcome(_run_compiled, roots, env, guard)
+    want_kind, want = _outcome(_walk_roots, roots, env, None if guard == 0.0 else guard)
+    assert kind == want_kind
+    if kind != "value":
+        assert got == want  # the same message
+        return
+    assert len(got) == len(want) == len(roots)
+    for value, expected in zip(got, want):
+        assert type(value) is type(expected)
+        assert np.shape(value) == np.shape(expected)
+        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+def _distinct_nodes(e, seen=None):
+    seen = set() if seen is None else seen
+    if e not in seen:
+        seen.add(e)
+        for arg in e._args():
+            if isinstance(arg, expr.Expr):
+                _distinct_nodes(arg, seen)
+    return seen
+
+
+def test_compiled_temporaries_are_freed_after_last_use():
+    e = P("sin(u)*u + cos(u)*2 - exp(u)/3 + u^2*lambda - atan(u)*u + tan(u)")
+    assert len(_distinct_nodes(e)) == 20
+    u = np.linspace(0.5, 1.5, 10**6).reshape(1000, 1000)
+    tracemalloc.start()
+    try:
+        value = evaluate(e, {"u": u, "lambda": 2.0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.shape == u.shape
+    assert peak <= 4 * u.nbytes
+
+
+def test_compiled_node_is_released():
+    e = P("u^7 + 4321/677 - lambda")
+    key = (type(e), *e._args())
+    assert evaluate(e, {"u": 0.5, "lambda": 2.0}) == 0.5**7 + 4321 / 677 - 2.0
+    ref, cached = weakref.ref(e), (id(e),)
+    assert cached in expr._COMPILED
+    del e
+    gc.collect()
+    assert ref() is None
+    assert key not in expr._NODES
+    assert cached not in expr._COMPILED
