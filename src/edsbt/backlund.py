@@ -17,7 +17,7 @@ vanish for a valid adapted section.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -113,26 +113,22 @@ def b_chart(box=None, params=None) -> Chart:
     return fm.default_chart(B_COORDS, box, params)
 
 
-@dataclass(frozen=True)
 class CoframeSection:
     """Six labeled, pointwise independent 1-forms spanning the cotangent
     space: the two contact directions and the 2+2 wedge blocks."""
 
-    chart: Chart
-    theta: DifferentialForm
-    theta_bar: DifferentialForm
-    w1: DifferentialForm
-    w2: DifferentialForm
-    w3: DifferentialForm
-    w4: DifferentialForm
+    __slots__ = ("chart", *SECTION_LABELS)
 
-    def __post_init__(self):
-        for label in SECTION_LABELS:
-            form = getattr(self, label)
-            if form.chart != self.chart:
+    def __init__(self, chart: Chart, theta: DifferentialForm, theta_bar: DifferentialForm,
+                 w1: DifferentialForm, w2: DifferentialForm, w3: DifferentialForm,
+                 w4: DifferentialForm):
+        self.chart = chart
+        for label, form in zip(SECTION_LABELS, (theta, theta_bar, w1, w2, w3, w4)):
+            if form.chart != chart:
                 raise fm.ChartMismatchError(f"{label} lives on a different chart")
             if form.degree != 1:
                 raise ValueError(f"{label} must be a 1-form")
+            setattr(self, label, form)
 
     def forms(self) -> Tuple[DifferentialForm, ...]:
         return tuple(getattr(self, label) for label in SECTION_LABELS)
@@ -141,19 +137,28 @@ class CoframeSection:
         return tuple(fm.exterior_derivative(f) for f in self.forms())
 
 
-@dataclass(frozen=True)
 class SectionReport:
     """Worst sampled slot magnitudes of a section's structure equations,
-    and the torsion read from the same slot tables at the same points."""
+    and the torsion read from the same slot tables at the same points.
 
-    zero_slot_max: Mapping[Tuple[str, Tuple[int, int]], float]
-    normalization_max: Mapping[str, float]
-    structural_violation: float
-    normalization_violation: float
-    samples: int
-    witness: Optional[Point]
-    torsion: "TorsionInvariants"
-    tolerance: float = 1e-9
+    `zero_slot_max` maps each (label, slot) of ZERO_SLOTS, and
+    `normalization_max` each label of NORMALIZATION_SLOTS, to its worst
+    reading over the samples."""
+
+    __slots__ = ("zero_slot_max", "normalization_max", "structural_violation",
+                 "normalization_violation", "samples", "witness", "torsion", "tolerance")
+
+    def __init__(self, zero_slot_max: Mapping, normalization_max: Mapping,
+                 structural_violation: float, normalization_violation: float, samples: int,
+                 witness: Optional[Point], torsion: TorsionInvariants, tolerance: float = 1e-9):
+        self.zero_slot_max = zero_slot_max
+        self.normalization_max = normalization_max
+        self.structural_violation = structural_violation
+        self.normalization_violation = normalization_violation
+        self.samples = samples
+        self.witness = witness
+        self.torsion = torsion
+        self.tolerance = tolerance
 
     @property
     def ok(self) -> bool:
@@ -224,7 +229,6 @@ def validate_section(section: CoframeSection,
     return report
 
 
-@dataclass(frozen=True)
 class TorsionInvariants:
     """The ten torsion functions sampled pointwise.
 
@@ -233,9 +237,13 @@ class TorsionInvariants:
     built transformation's are WavelikeBT.torsion_exprs(): A1 = F_p, A2 = G_q).
     """
 
-    values: Mapping[str, np.ndarray]
-    points: Tuple[Point, ...]
-    exprs: Optional[Mapping[str, Expr]] = None
+    __slots__ = ("values", "points", "exprs")
+
+    def __init__(self, values: Mapping[str, np.ndarray], points: Tuple[Point, ...],
+                 exprs: Optional[Mapping[str, Expr]] = None):
+        self.values = values
+        self.points = points
+        self.exprs = exprs
 
     def at(self, i: int) -> dict:
         return {name: float(self.values[name][i]) for name in TORSION_NAMES}
@@ -316,17 +324,16 @@ class BuildReport:
         return self.df_residual.ok and self.dg_residual.ok
 
 
-@dataclass(frozen=True)
 class WavelikeBT:
-    chart: Chart
-    F: Expr
-    G: Expr
-    f: Expr
-    g: Expr
-    fp: Expr
-    gq: Expr
-    section: CoframeSection
-    report: BuildReport
+    """A built transformation: the data (F, G), the induced pair (f, g),
+    F_p and G_q, the adapted coframe and the build diagnostics."""
+
+    __slots__ = ("chart", "F", "G", "f", "g", "fp", "gq", "section", "report")
+
+    def __init__(self, chart: Chart, F: Expr, G: Expr, f: Expr, g: Expr, fp: Expr, gq: Expr,
+                 section: CoframeSection, report: BuildReport):
+        self.chart, self.F, self.G, self.f, self.g = chart, F, G, f, g
+        self.fp, self.gq, self.section, self.report = fp, gq, section, report
 
     def generators(self) -> list:
         """theta, theta_bar and the two decomposable wedge blocks."""
@@ -476,19 +483,19 @@ def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
 # classifiers
 
 
-@dataclass(frozen=True)
 class RawExtensionSystem:
     """Explicit generator data for the integrable-extension test when no
     built coframe is available: the two contact forms plus the decomposable
     pairs pulled back from each side."""
 
-    chart: Chart
-    theta: DifferentialForm
-    theta_bar: DifferentialForm
-    omega1: DifferentialForm
-    omega2: DifferentialForm
-    omega1_bar: DifferentialForm
-    omega2_bar: DifferentialForm
+    __slots__ = ("chart", "theta", "theta_bar", "omega1", "omega2", "omega1_bar", "omega2_bar")
+
+    def __init__(self, chart: Chart, theta: DifferentialForm, theta_bar: DifferentialForm,
+                 omega1: DifferentialForm, omega2: DifferentialForm,
+                 omega1_bar: DifferentialForm, omega2_bar: DifferentialForm):
+        self.chart, self.theta, self.theta_bar = chart, theta, theta_bar
+        self.omega1, self.omega2 = omega1, omega2
+        self.omega1_bar, self.omega2_bar = omega1_bar, omega2_bar
 
 
 def integrable_extension_checks(obj, spec: Optional[SampleSpec] = None) -> dict:
@@ -624,16 +631,17 @@ def transversality_det(bt: WavelikeBT, X: VectorField, Y: VectorField,
 # quasilinear expansion and first-order normalization
 
 
-@dataclass(frozen=True)
 class QuasilinearFG:
     """Closed-form (f, g) for affine first-order data F = F0 + F1 p,
-    G = G0 + G1 q, with the bilinear-term report."""
+    G = G0 + G1 q, with the bilinear-term report.  `coefficients` is keyed
+    by ("f"|"g", "p"|"q"|"pq"), `pq_checks` by "f" and "g"."""
 
-    f: Expr
-    g: Expr
-    coefficients: Mapping[Tuple[str, str], Expr]  # ("f"|"g", "p"|"q"|"pq")
-    pq_vanishes: bool
-    pq_checks: Mapping[str, CheckResult]
+    __slots__ = ("f", "g", "coefficients", "pq_vanishes", "pq_checks")
+
+    def __init__(self, f: Expr, g: Expr, coefficients: Mapping[Tuple[str, str], Expr],
+                 pq_vanishes: bool, pq_checks: Mapping[str, CheckResult]):
+        self.f, self.g, self.coefficients = f, g, coefficients
+        self.pq_vanishes, self.pq_checks = pq_vanishes, pq_checks
 
 
 def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
@@ -697,14 +705,13 @@ def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
     )
 
 
-@dataclass(frozen=True)
 class QuasilinearPDE:
     """u_xy = A u_x u_y + B u_x + C u_y + D with coefficients in (x, y, u)."""
 
-    A: Expr
-    B: Expr = ex.ZERO
-    C: Expr = ex.ZERO
-    D: Expr = ex.ZERO
+    __slots__ = ("A", "B", "C", "D")
+
+    def __init__(self, A: Expr, B: Expr = ex.ZERO, C: Expr = ex.ZERO, D: Expr = ex.ZERO):
+        self.A, self.B, self.C, self.D = A, B, C, D
 
 
 def u_antiderivative(e: Expr) -> Expr:
@@ -736,12 +743,16 @@ def u_antiderivative(e: Expr) -> Expr:
     )
 
 
-@dataclass(frozen=True)
 class FirstOrderNormalization:
-    phi_u: Expr
-    residual: CheckResult  # phi_uu + A phi_u == 0
-    a_tilde: Expr
-    description: Mapping[str, str]
+    """The point transform phi_u, its residual check phi_uu + A phi_u == 0,
+    the transformed bilinear coefficient, and a description per term."""
+
+    __slots__ = ("phi_u", "residual", "a_tilde", "description")
+
+    def __init__(self, phi_u: Expr, residual: CheckResult, a_tilde: Expr,
+                 description: Mapping[str, str]):
+        self.phi_u, self.residual = phi_u, residual
+        self.a_tilde, self.description = a_tilde, description
 
 
 def normalize_first_order(pde: QuasilinearPDE, chart: Optional[Chart] = None,

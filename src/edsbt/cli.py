@@ -28,17 +28,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__
-from . import backlund as bk
 from . import expr as ex
 from . import forms as fm
-from . import monge_ampere as ma
-from . import propagate as pp
+
+if TYPE_CHECKING:  # a command imports these where it runs, so start-up skips the rest
+    from . import backlund as bk
+    from . import monge_ampere as ma
+    from . import propagate as pp
 
 
 class DefinitionError(ValueError):
@@ -57,17 +58,17 @@ SPEC_KEYS = {
 }
 
 
-@dataclass(frozen=True)
 class SystemDefinition:
     """A parsed definition file.  `body` and `candidates` keep the file's
     keys; each value is parsed: an Expr, a list of chart.dim Exprs for a
     comma-separated entry, or a float for a [tzitzeica] number."""
 
-    chart: fm.Chart
-    kind: str
-    body: dict
-    candidates: dict
-    spec_overrides: dict
+    __slots__ = ("chart", "kind", "body", "candidates", "spec_overrides")
+
+    def __init__(self, chart: fm.Chart, kind: str, body: dict, candidates: dict,
+                 spec_overrides: dict):
+        self.chart, self.kind, self.body = chart, kind, body
+        self.candidates, self.spec_overrides = candidates, spec_overrides
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +170,13 @@ def parse_definition(path: str) -> SystemDefinition:
         )
     kind = primary[0]
     chart = _parse_chart(blocks, path)
-    expected = {
-        "bt": bk.B_COORDS,
-        "section": bk.B_COORDS,
-        "ma": ma.MA_COORDS,
-        "tzitzeica": ("x", "y"),
-    }[kind]
+    # each kind's coordinates live in its own module: import only that one
+    if kind == "ma":
+        from .monge_ampere import MA_COORDS as expected
+    elif kind == "tzitzeica":
+        expected = ("x", "y")
+    else:
+        from .backlund import B_COORDS as expected
     if chart.coords != tuple(expected):
         raise DefinitionError(
             f"{path}: a [{kind}] definition needs coords = {', '.join(expected)}"
@@ -273,33 +275,6 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _record(name: str, status: str, samples: int = 0,
-            max_violation: float = 0.0, witness: str = "") -> dict:
-    return {
-        "name": name,
-        "status": status,
-        "samples": samples,
-        "max_violation": max_violation,
-        "witness": witness,
-    }
-
-
-def _record_from_check(name: str, result: ex.CheckResult) -> dict:
-    return _record(
-        name,
-        "pass" if result.ok else "fail",
-        samples=result.samples,
-        max_violation=float(result.max_violation),
-        witness=result.witness.flat() if result.witness else "",
-    )
-
-
-def _normal_record(torsion: bk.TorsionInvariants) -> dict:
-    return _record(
-        "normal", "pass" if bk.check_normal(torsion) else "fail", samples=len(torsion.points)
-    )
-
-
 class _Runner:
     """Definition, resolved sampling policy, and report state for one run."""
 
@@ -331,6 +306,7 @@ class _Runner:
             )
 
     def build_bt(self) -> bk.WavelikeBT:
+        from . import backlund as bk
         bt = bk.build_wavelike(
             self.defn.body["F"], self.defn.body["G"], self.defn.chart, self.spec
         )
@@ -339,6 +315,7 @@ class _Runner:
         return bt
 
     def build_ma(self) -> ma.MongeAmpereSystem:
+        from . import monge_ampere as ma
         return ma.from_coefficients(
             *(self.defn.body[key] for key in ("A", "B", "C", "D", "E")),
             chart=self.defn.chart,
@@ -346,6 +323,7 @@ class _Runner:
         )
 
     def build_section(self) -> bk.CoframeSection:
+        from . import backlund as bk
         chart = self.defn.chart
         forms = [_coefficient_form(chart, self.defn.body[key]) for key in SECTION_KEYS]
         return bk.CoframeSection(chart, *forms)
@@ -360,16 +338,31 @@ class _Runner:
             return fm.VectorField(self.defn.chart, tuple(self.defn.candidates[key]))
         return fm.VectorField.coordinate(self.defn.chart, default_coord)
 
-    def section_record(self, section: bk.CoframeSection) -> Optional[bk.SectionReport]:
+    def record(self, name: str, status: str, samples: int = 0,
+               max_violation: float = 0.0, witness: str = "") -> None:
+        self.records.append({"name": name, "status": status, "samples": samples,
+                             "max_violation": max_violation, "witness": witness})
+
+    def record_check(self, name: str, result: ex.CheckResult) -> None:
+        self.record(name, "pass" if result.ok else "fail", result.samples,
+                    float(result.max_violation), result.witness.flat() if result.witness else "")
+
+    def record_normal(self, torsion: bk.TorsionInvariants) -> None:
+        from . import backlund as bk
+        self.record("normal", "pass" if bk.check_normal(torsion) else "fail", len(torsion.points))
+
+    def record_section(self, section: bk.CoframeSection) -> Optional[bk.SectionReport]:
         """Validate and record; returns the report when the section holds
         up, else None."""
+        from . import backlund as bk
         try:
             report = bk.validate_section(section, self.spec)
         except bk.SectionValidationError as err:
             report = err.report
         worst = max(report.structural_violation, report.normalization_violation)
-        result = ex.CheckResult(report.ok, worst, report.witness, report.samples)
-        self.records.append(_record_from_check("section_valid", result))
+        self.record_check(
+            "section_valid", ex.CheckResult(report.ok, worst, report.witness, report.samples)
+        )
         return report if report.ok else None
 
     def report(self, command: str) -> dict:
@@ -396,49 +389,38 @@ class _Runner:
 def cmd_check(runner: _Runner) -> None:
     kind = runner.defn.kind
     if kind == "bt":
+        from . import backlund as bk
         bt = runner.build_bt()
-        validated = runner.section_record(bt.section)
+        validated = runner.record_section(bt.section)
         for name, result in bk.integrable_extension_checks(bt, runner.spec).items():
-            runner.records.append(
-                _record_from_check(f"integrable_extension_{name}", result)
-            )
+            runner.record_check(f"integrable_extension_{name}", result)
         if validated is not None:
-            torsion = validated.torsion
-            runner.records.append(_normal_record(torsion))
-            for label, margin in bk.normal_margins(torsion).items():
+            runner.record_normal(validated.torsion)
+            for label, margin in bk.normal_margins(validated.torsion).items():
                 runner.extras[f"margin_{label}"] = margin
         else:
-            runner.records.append(
-                _record("normal", "error", witness="section invalid, torsion skipped")
-            )
-        runner.records.append(
-            _record_from_check("dropF_condition", bt.report.df_residual)
-        )
-        runner.records.append(
-            _record_from_check("dropG_condition", bt.report.dg_residual)
-        )
+            runner.record("normal", "error", witness="section invalid, torsion skipped")
+        runner.record_check("dropF_condition", bt.report.df_residual)
+        runner.record_check("dropG_condition", bt.report.dg_residual)
     elif kind == "ma":
+        from . import monge_ampere as ma
         system = runner.build_ma()
-        runner.records.append(
-            _record_from_check("monge_ampere_valid", ma.validate(system, runner.spec))
-        )
+        runner.record_check("monge_ampere_valid", ma.validate(system, runner.spec))
     elif kind == "section":
-        runner.section_record(runner.build_section())
+        runner.record_section(runner.build_section())
     else:  # tzitzeica seed: does h satisfy (ln h)_xy = h - h^-2
         h = runner.defn.body["h"]
         residual = ex.sub(
             ex.differentiate(ex.differentiate(ex.ln(h), "x"), "y"),
             ex.sub(h, ex.pow_int(h, -2)),
         )
-        runner.records.append(
-            _record_from_check(
-                "seed_solves_equation", ex.equiv_random(residual, ex.ZERO, runner.spec)
-            )
-        )
+        solves = ex.equiv_random(residual, ex.ZERO, runner.spec)
+        runner.record_check("seed_solves_equation", solves)
 
 
 def cmd_classify(runner: _Runner) -> None:
     runner.require_kind("bt")
+    from . import backlund as bk
     bt = runner.build_bt()
     eta1 = runner.candidate_form("eta1", "x")
     eta3 = runner.candidate_form("eta3", "y")
@@ -455,9 +437,7 @@ def cmd_classify(runner: _Runner) -> None:
     runner.extras["transversality_det_min"] = bk.transversality_det(
         bt, X, Y, runner.spec
     )
-    runner.records.append(
-        _record("classification", "pass", samples=runner.spec.count)
-    )
+    runner.record("classification", "pass", samples=runner.spec.count)
 
 
 def _at_point(runner: _Runner) -> Optional[list]:
@@ -490,6 +470,7 @@ def _at_point(runner: _Runner) -> Optional[list]:
 
 def cmd_torsion(runner: _Runner) -> None:
     runner.require_kind("bt", "section")
+    from . import backlund as bk
     if runner.defn.kind == "bt":
         section = runner.build_bt().section
     else:
@@ -504,11 +485,12 @@ def cmd_torsion(runner: _Runner) -> None:
             runner.extras[f"{name}_min"] = float(np.min(values))
             runner.extras[f"{name}_max"] = float(np.max(values))
     runner.extras["points"] = len(torsion.points)
-    runner.records.append(_normal_record(torsion))
+    runner.record_normal(torsion)
 
 
 def cmd_hyperbolic(runner: _Runner) -> None:
     runner.require_kind("ma")
+    from . import monge_ampere as ma
     system = runner.build_ma()
     report = ma.hyperbolicity(system, runner.spec)
     runner.extras["verdict"] = report.verdict
@@ -518,16 +500,11 @@ def cmd_hyperbolic(runner: _Runner) -> None:
     if report.hyperbolic:
         roots = sorted(float(r) for r in report.samples[0].roots)
         runner.extras["roots_at_first_sample"] = ",".join(repr(r) for r in roots)
-    runner.records.append(
-        _record(
-            "hyperbolic",
-            "pass" if report.hyperbolic else "fail",
-            samples=len(report.samples),
-        )
-    )
+    runner.record("hyperbolic", "pass" if report.hyperbolic else "fail", len(report.samples))
 
 
 def _grid_from_args(args) -> pp.Grid:
+    from . import propagate as pp
     try:
         nx, ny = (int(part) for part in args.grid.split(","))
         x0, x1, y0, y1 = (float(part) for part in args.domain.split(","))
@@ -547,12 +524,9 @@ def _xy_expr(text: str, chart: fm.Chart, flag: str) -> ex.Expr:
         raise DefinitionError(f"bad {flag}: {err}") from None
 
 
-def _propagation_error(err: pp.PropagationError) -> dict:
-    return _record("propagation", "error", witness=str(err))
-
-
 def cmd_propagate(runner: _Runner) -> None:
     runner.require_kind("bt")
+    from . import propagate as pp
     args, chart = runner.args, runner.defn.chart
     if not math.isfinite(args.v0):
         raise DefinitionError(f"--v0: expected a finite number, got {args.v0!r}")
@@ -567,16 +541,17 @@ def cmd_propagate(runner: _Runner) -> None:
             expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
             runner.extras["sup_error"] = float(np.max(np.abs(result.v.values - expected.values)))
     except pp.PropagationError as err:
-        runner.records.append(_propagation_error(err))
+        runner.record("propagation", "error", witness=str(err))
         return
     pp.write_field_csv(result.v, runner.args.out)
     runner.extras["out"] = runner.args.out
     runner.extras["compatibility_residual"] = result.compatibility_residual
-    runner.records.append(_record("propagation", "pass", samples=grid.nx * grid.ny))
+    runner.record("propagation", "pass", samples=grid.nx * grid.ny)
 
 
 def cmd_tzitzeica(runner: _Runner) -> None:
     runner.require_kind("tzitzeica")
+    from . import propagate as pp
     grid = _grid_from_args(runner.args)
     body = runner.defn.body
     try:
@@ -584,7 +559,7 @@ def cmd_tzitzeica(runner: _Runner) -> None:
             body["h"], body["lambda"], body["alpha0"], body["beta0"], grid
         )
     except pp.PropagationError as err:
-        runner.records.append(_propagation_error(err))
+        runner.record("propagation", "error", witness=str(err))
         return
     pp.write_field_csv(result.h_prime, runner.args.out_hprime)
     runner.extras["out_hprime"] = runner.args.out_hprime
@@ -597,7 +572,7 @@ def cmd_tzitzeica(runner: _Runner) -> None:
         runner.extras["h_prime_mean_residual"] = residual.mean_residual
     except pp.SingularFieldError:
         runner.notes.append("h' residual skipped: no usable interior nodes")
-    runner.records.append(_record("propagation", "pass", samples=grid.nx * grid.ny))
+    runner.record("propagation", "pass", samples=grid.nx * grid.ny)
 
 
 COMMANDS = {

@@ -267,14 +267,10 @@ class Func(Expr):
         return name, arg
 
 
+# interned, so a node equal to one of them is that node
 ZERO = Const(0)
 ONE = Const(1)
-
-
-def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return True if value is None else e.value == value
+_MINUS_ONE = Const(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +289,9 @@ def _comm_equal(a: Expr, b: Expr) -> bool:
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    if _is_const(a, 0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
     # structural cancellation keeps wedge products of equal forms exactly zero
     if isinstance(b, Neg) and _comm_equal(b.child, a):
@@ -308,9 +304,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0):
+    if a is ZERO:
         return neg(b)
     if _comm_equal(a, b):
         return ZERO
@@ -320,27 +316,27 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1):
+    if a is ONE:
         return b
-    if _is_const(b, 1):
+    if b is ONE:
         return a
-    if _is_const(a, -1):
+    if a is _MINUS_ONE:
         return neg(b)
-    if _is_const(b, -1):
+    if b is _MINUS_ONE:
         return neg(a)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
+    if b is ZERO:
         raise ExprError("division by constant zero")
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value / b.value)
-    if _is_const(b, 1):
+    if b is ONE:
         return a
-    if _is_const(a, 0):
+    if a is ZERO:
         return ZERO
     return Div(a, b)
 

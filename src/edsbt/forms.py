@@ -203,16 +203,16 @@ def one_form(chart: Chart, coeff_by_name: Mapping[str, Expr]) -> DifferentialFor
     )
 
 
-@dataclass(frozen=True)
 class VectorField:
-    chart: Chart
-    components: tuple  # one Expr per coordinate
+    """A vector field on `chart`: `components` holds one Expr per coordinate."""
 
-    def __post_init__(self):
-        comps = tuple(ex._coerce(c) for c in self.components)
-        if len(comps) != self.chart.dim:
+    __slots__ = ("chart", "components")
+
+    def __init__(self, chart: Chart, components: Iterable):
+        self.chart = chart
+        self.components = tuple(ex._coerce(c) for c in components)
+        if len(self.components) != chart.dim:
             raise ValueError("component count must match chart dimension")
-        object.__setattr__(self, "components", comps)
 
     @classmethod
     def coordinate(cls, chart: Chart, name: str) -> "VectorField":

@@ -14,7 +14,6 @@ whose root structure classifies each sample point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -48,17 +47,17 @@ def contact_form(chart: Chart) -> DifferentialForm:
     return du - p * dx - q * dy
 
 
-@dataclass(frozen=True)
 class MongeAmpereSystem:
-    chart: Chart
-    theta: DifferentialForm
-    omega: DifferentialForm
+    """The ideal generated by the contact form theta and the 2-form omega."""
 
-    def __post_init__(self):
-        if self.omega.degree != 2:
+    __slots__ = ("chart", "theta", "omega")
+
+    def __init__(self, chart: Chart, theta: DifferentialForm, omega: DifferentialForm):
+        if omega.degree != 2:
             raise ValueError("omega must be a 2-form")
-        if self.theta.degree != 1:
+        if theta.degree != 1:
             raise ValueError("theta must be a 1-form")
+        self.chart, self.theta, self.omega = chart, theta, omega
 
 
 def from_coefficients(A, B, C, D, E, chart: Optional[Chart] = None,
@@ -134,19 +133,26 @@ def validate(sys: MongeAmpereSystem, spec: Optional[SampleSpec] = None) -> Check
     return ex.sampled_check(spec, violation)
 
 
-@dataclass(frozen=True)
 class PencilSample:
-    point: Point
-    coefficients: Tuple[float, float, float]  # sigma = s0 + s1 l + s2 l^2
-    discriminant: float
-    roots: Tuple[float, ...]
-    label: str  # hyperbolic | parabolic | non-hyperbolic
+    """The pencil at one point: sigma(l) = s0 + s1 l + s2 l^2 as
+    `coefficients`, its discriminant and real roots, and the `label`
+    hyperbolic, parabolic or non-hyperbolic."""
+
+    __slots__ = ("point", "coefficients", "discriminant", "roots", "label")
+
+    def __init__(self, point: Point, coefficients: Tuple[float, float, float],
+                 discriminant: float, roots: Tuple[float, ...], label: str):
+        self.point, self.coefficients, self.discriminant = point, coefficients, discriminant
+        self.roots, self.label = roots, label
 
 
-@dataclass(frozen=True)
 class HyperbolicityReport:
-    verdict: str
-    samples: Tuple[PencilSample, ...]
+    """The verdict over all samples, and the pencil at each of them."""
+
+    __slots__ = ("verdict", "samples")
+
+    def __init__(self, verdict: str, samples: Tuple[PencilSample, ...]):
+        self.verdict, self.samples = verdict, samples
 
     @property
     def hyperbolic(self) -> bool:

@@ -27,13 +27,15 @@ import re
 import shutil
 import signal
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import expr as ex
-from .backlund import WavelikeBT
 from .expr import Expr
+
+if TYPE_CHECKING:
+    from .backlund import WavelikeBT
 
 # the smallest admissible |F_p|, |lam|, |h| and |h'|; [spec] guard is for sampling
 GUARD = 1e-6
@@ -96,33 +98,23 @@ class Grid:
         return np.meshgrid(self.xs(), self.ys())
 
 
-@dataclass(frozen=True)
 class Field:
     """Grid function, values[j, i] at (x_i, y_j).
 
     Values must be finite except where the optional singular mask is set.
     """
 
-    grid: Grid
-    values: np.ndarray
-    singular: Optional[np.ndarray] = None
+    __slots__ = ("grid", "values", "singular")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"field shape {vals.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
-            )
-        object.__setattr__(self, "values", vals)
-        if self.singular is not None:
-            mask = np.asarray(self.singular, dtype=bool)
-            if mask.shape != vals.shape:
-                raise ValueError("singular mask shape does not match values")
-            object.__setattr__(self, "singular", mask)
-            probe = vals[~mask]
-        else:
-            probe = vals
+    def __init__(self, grid: Grid, values: np.ndarray, singular: Optional[np.ndarray] = None):
+        self.grid = grid
+        self.values = vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.ny, grid.nx):
+            raise ValueError(f"field shape {vals.shape} does not match grid {(grid.ny, grid.nx)}")
+        self.singular = mask = None if singular is None else np.asarray(singular, dtype=bool)
+        if mask is not None and mask.shape != vals.shape:
+            raise ValueError("singular mask shape does not match values")
+        probe = vals if mask is None else vals[~mask]
         if probe.size and not np.all(np.isfinite(probe)):
             raise ValueError("non-finite field values outside the singular mask")
 
@@ -296,7 +288,6 @@ def _bisect(residual, nodes, lo, hi):
 # transformation propagation
 
 
-@dataclass(frozen=True)
 class BTPropagation:
     """Propagated companion solution with its compatibility diagnostic.
 
@@ -305,8 +296,10 @@ class BTPropagation:
     and differenced centrally.
     """
 
-    v: Field
-    compatibility_residual: float
+    __slots__ = ("v", "compatibility_residual")
+
+    def __init__(self, v: Field, compatibility_residual: float):
+        self.v, self.compatibility_residual = v, compatibility_residual
 
 
 def _affine_split(F: Expr):
@@ -371,12 +364,14 @@ def bt_propagate(
 # residual reports
 
 
-@dataclass(frozen=True)
 class ResidualReport:
-    max_residual: float
-    mean_residual: float
-    nodes: int
-    excluded: int = 0
+    """Max and mean residual over the `nodes` used; `excluded` were skipped."""
+
+    __slots__ = ("max_residual", "mean_residual", "nodes", "excluded")
+
+    def __init__(self, max_residual: float, mean_residual: float, nodes: int, excluded: int = 0):
+        self.max_residual, self.mean_residual = max_residual, mean_residual
+        self.nodes, self.excluded = nodes, excluded
 
 
 def wavelike_residual(v: Field, f, params: Optional[dict] = None) -> ResidualReport:
@@ -409,14 +404,18 @@ def wavelike_residual(v: Field, f, params: Optional[dict] = None) -> ResidualRep
 # the (ln h)_xy = h - h^{-2} transformation
 
 
-@dataclass(frozen=True)
 class TzitzeicaPropagation:
-    alpha: Field
-    beta: Field
-    h_prime: Field
-    alpha_compatibility: float
-    beta_compatibility: float
-    singular_count: int
+    """The marched (alpha, beta), the new solution h', the compatibility
+    residual of each marched component, and the count of singular nodes."""
+
+    __slots__ = ("alpha", "beta", "h_prime", "alpha_compatibility", "beta_compatibility",
+                 "singular_count")
+
+    def __init__(self, alpha: Field, beta: Field, h_prime: Field, alpha_compatibility: float,
+                 beta_compatibility: float, singular_count: int):
+        self.alpha, self.beta, self.h_prime = alpha, beta, h_prime
+        self.alpha_compatibility, self.beta_compatibility = alpha_compatibility, beta_compatibility
+        self.singular_count = singular_count
 
 
 def tzitzeica_propagate(

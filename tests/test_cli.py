@@ -2,7 +2,8 @@
 shape and reproducibility, exit codes, and the propagation commands.
 
 main() is called in-process, except where a test reads the whole stderr
-of a child process; stdout is captured as the report channel.
+of a child process or the modules a fresh process imports; stdout is
+captured as the report channel.
 """
 
 import hashlib
@@ -663,3 +664,61 @@ class TestReproducibility:
         assert report["samples"] == 4
         assert report["tol"] == 1e-7
         assert report["records"][0]["samples"] == 4
+
+
+# Runs each argv of a JSON list through main() in this fresh process and
+# prints the exit codes, the stderr of each run and the edsbt submodules
+# the process ended up with.
+_MODULES_CHILD = """\
+import contextlib, io, json, sys
+import edsbt.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        runs.append([edsbt.cli.main(argv), err.getvalue()])
+modules = sorted(m for m in sys.modules if m.startswith("edsbt."))
+print(json.dumps({"runs": runs, "modules": modules}))
+"""
+
+
+class TestStartupImports:
+    """Each command imports only the modules it runs.  In-process tests
+    cannot see this, because the test session has loaded every module, so
+    each case runs in a fresh interpreter."""
+
+    @pytest.mark.parametrize(
+        "commands, code, modules",
+        [
+            ([["check", "BT"], ["torsion", "BT"], ["classify", "BT"]], 0, {"backlund"}),
+            ([["hyperbolic", "MA"], ["check", "MA"]], 0, {"monge_ampere"}),
+            ([["check", "TZ"]], 0, set()),
+            ([["tzitzeica", "TZ", "--grid", "5,5", "--domain", "0,0.5,0,0.5",
+               "--out-hprime", "OUT"]], 0, {"propagate"}),
+            ([["check", "MISSING"]], 2, set()),
+        ],
+        ids=["bt", "ma", "tzitzeica-check", "tzitzeica", "usage-error"],
+    )
+    def test_command_loads_only_its_modules(self, tmp_path, commands, code, modules):
+        files = {
+            "BT": write_def(tmp_path, SG_DEF, "bt.def"),
+            "MA": write_def(tmp_path, SG_MA_DEF, "ma.def"),
+            "TZ": write_def(tmp_path, TZ_DEF, "tz.def"),
+            "MISSING": str(tmp_path / "missing.def"),
+            "OUT": str(tmp_path / "hprime.csv"),
+        }
+        argvs = [[files.get(a, a) for a in argv] + ["--samples", "8"] for argv in commands]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_CHILD, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        for exit_code, stderr in result["runs"]:
+            assert exit_code == code
+            if code == 2:
+                assert stderr.count("\n") == 1 and stderr.startswith("edsbt: ")
+        expected = {"cli", "expr", "forms"} | modules
+        assert set(result["modules"]) == {f"edsbt.{name}" for name in expected}
