@@ -232,18 +232,14 @@ def validate_section(section: CoframeSection,
 class TorsionInvariants:
     """The ten torsion functions sampled pointwise.
 
-    `values` maps each name in TORSION_NAMES to an array over `points`;
-    `exprs` may carry exact expressions from a caller that has them (a
-    built transformation's are WavelikeBT.torsion_exprs(): A1 = F_p, A2 = G_q).
+    `values` maps each name in TORSION_NAMES to an array over `points`.
     """
 
-    __slots__ = ("values", "points", "exprs")
+    __slots__ = ("values", "points")
 
-    def __init__(self, values: Mapping[str, np.ndarray], points: Tuple[Point, ...],
-                 exprs: Optional[Mapping[str, Expr]] = None):
+    def __init__(self, values: Mapping[str, np.ndarray], points: Tuple[Point, ...]):
         self.values = values
         self.points = points
-        self.exprs = exprs
 
     def at(self, i: int) -> dict:
         return {name: float(self.values[name][i]) for name in TORSION_NAMES}

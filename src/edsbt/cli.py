@@ -535,15 +535,17 @@ def cmd_propagate(runner: _Runner) -> None:
         reference = _xy_expr(args.reference, chart, "--reference")
     bt = runner.build_bt()
     grid = _grid_from_args(args)
-    try:
-        result = pp.bt_propagate(bt, seed_u, args.v0, grid)
-        if args.reference is not None:
-            expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
-            runner.extras["sup_error"] = float(np.max(np.abs(result.v.values - expected.values)))
-    except pp.PropagationError as err:
-        runner.record("propagation", "error", witness=str(err))
-        return
-    pp.write_field_csv(result.v, runner.args.out)
+    with pp.FieldRows(grid) as rows:  # formats v's rows while they are computed
+        try:
+            result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows)
+            if args.reference is not None:
+                expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
+                error = np.abs(result.v.values - expected.values)
+                runner.extras["sup_error"] = float(np.max(error))
+        except pp.PropagationError as err:
+            runner.record("propagation", "error", witness=str(err))
+            return
+        pp.write_field_csv(result.v, runner.args.out, rows)
     runner.extras["out"] = runner.args.out
     runner.extras["compatibility_residual"] = result.compatibility_residual
     runner.record("propagation", "pass", samples=grid.nx * grid.ny)

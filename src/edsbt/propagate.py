@@ -17,15 +17,21 @@ v_x, else with one elementwise root solver (Newton, then bisection on a
 bracket where Newton fails).  Compatibility residuals difference the same
 right sides on the marched grid; they vanish to discretization accuracy
 exactly when the seed solves its PDE.
+
+The march can fill a FieldRows, whose forked children format each row of
+v as CSV text once it is final, while the march and the residual run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
+import pickle
 import re
-import shutil
+import select
 import signal
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -146,10 +152,11 @@ def _rk4_step(rhs, t, w, h):
     return w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(rhs_x, rhs_y, start, grid: Grid) -> np.ndarray:
+def _march(rhs_x, rhs_y, start, grid: Grid, rows: Optional[FieldRows] = None) -> np.ndarray:
     """March w_x = rhs_x(x, y, w) along y = y0 from w = `start` at (x0, y0),
     then w_y = rhs_y(x, y, w) up every column at once.  Returns w at every
-    node, shaped start.shape + (ny, nx)."""
+    node, shaped start.shape + (ny, nx).  A scalar state may be marched
+    into `rows`, which is posted each row as soon as it is final."""
     start = np.asarray(start, dtype=float)
     xs, ys = grid.xs(), grid.ys()
 
@@ -164,9 +171,11 @@ def _march(rhs_x, rhs_y, start, grid: Grid) -> np.ndarray:
     row[0] = start
     for i in range(grid.nx - 1):
         row[i + 1] = _rk4_step(along_row, xs[i], row[i], grid.hx)
-    W = np.empty(start.shape + (grid.ny, grid.nx))
+    W = np.empty(start.shape + (grid.ny, grid.nx)) if rows is None else rows.values
     W[..., 0, :] = np.moveaxis(row, 0, -1)
     for j in range(grid.ny - 1):
+        if rows is not None:
+            rows.post(j + 1)  # rows 0..j are final; the last is never queued
         W[..., j + 1, :] = _rk4_step(up_columns, ys[j], W[..., j, :], grid.hy)
     if not np.all(np.isfinite(W)):
         raise PropagationError("propagated state diverged on the grid")
@@ -311,13 +320,16 @@ def _affine_split(F: Expr):
 
 
 def bt_propagate(
-    bt: WavelikeBT, seed, v0: float, grid: Grid, bracket: Optional[tuple] = None
+    bt: WavelikeBT, seed, v0: float, grid: Grid, bracket: Optional[tuple] = None,
+    rows: Optional[FieldRows] = None,
 ) -> BTPropagation:
     """Integrate the companion solution v from the corner value v0.
 
     `seed` is an analytic expression for u(x, y), so its derivatives in
     the ODE right sides are exact.  `bracket`, when given, is a global
-    (lo, hi) window for the v_x root solve in the non-affine case.
+    (lo, hi) window for the v_x root solve in the non-affine case.  With
+    `rows`, v is marched into its shared array, which starts formatting
+    each row of v as the march finishes it.
     """
     _require_interior(grid)
     params = _fixed_params(bt.chart)
@@ -354,7 +366,7 @@ def bt_propagate(
         last_p = v_x(env_at(x, y, v), last_p)
         return last_p
 
-    V = _march(rhs_x, lambda x, y, v: v_y(env_at(x, y, v)), v0, grid)
+    V = _march(rhs_x, lambda x, y, v: v_y(env_at(x, y, v)), v0, grid, rows)
     env = env_at(*grid.mesh(), V)
     P = v_x(env, np.gradient(V, grid.hx, axis=1) if split is None else None)
     return BTPropagation(Field(grid, V), _cross_residual(P, v_y(env), grid))
@@ -513,76 +525,175 @@ _HEADER_RE = re.compile(
     r"^# grid nx=(\d+) ny=(\d+) "
     r"x0=(\S+) x1=(\S+) y0=(\S+) y1=(\S+)$"
 )
+_RECORD = struct.Struct("=i")  # a row index on the queue; -1 stops its reader
+_BATCH = select.PIPE_BUF // _RECORD.size  # records per write, so that each lands whole
 
 
-def write_field_csv(fieldobj: Field, path: str) -> None:
+class FieldRows:
+    """The CSV rows of a grid function, formatted as soon as each is final.
+
+    `values` is an (ny, nx) array in shared memory.  One forked child per
+    further CPU this process may run on (at most one per row) claims row
+    indices from a queue, a pipe of 4-byte records, and formats those
+    rows; post(stop) queues the rows below `stop` once they are final.
+    commit() formats what is left here, claiming from the same queue, and
+    writes the rows in order.  The last row is never queued, so that this
+    process formats at least one.  Leaving the `with` block without a
+    commit kills and reaps every child; a child whose queue closes because
+    this process died exits at once.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
+        self._posted = 0  # rows below this are on the queue
+        affinity = getattr(os, "sched_getaffinity", None)
+        readers = min(len(affinity(0)), grid.ny, _BATCH) if affinity else 1  # see _stop_readers
+        self._claims, self._queue = os.pipe()
+        os.set_blocking(self._queue, False)  # a full queue must not stop the march
+        self._children = []  # (pid, read end of the pipe its rows come back on)
+        try:
+            for _ in range(readers - 1):
+                self._children.append(self._fork())
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Kill and reap every child still running, and close the queue."""
+        _reap(self._children, kill=True)
+        for fd in (self._claims, self._queue):
+            if fd >= 0:
+                os.close(fd)
+        self._claims = self._queue = -1
+
+    def post(self, stop: int) -> None:
+        """Queue the rows below `stop` but the last; rows the queue has no
+        room for wait for the next post, or for commit to format them."""
+        stop = min(stop, self.grid.ny - 1)
+        while self._children and self._posted < stop:
+            count = min(stop - self._posted, _BATCH)
+            records = struct.pack(f"={count}i", *range(self._posted, self._posted + count))
+            try:
+                os.write(self._queue, records)
+            except BlockingIOError:
+                return
+            self._posted += count
+
+    def commit(self, path: str) -> None:
+        """Write every row to `path`, through a sibling .tmp file."""
+        grid = self.grid
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write((f"# grid nx={grid.nx} ny={grid.ny} x0={grid.x0!r} x1={grid.x1!r} "
+                          f"y0={grid.y0!r} y1={grid.y1!r}\n").encode())
+                self.post(grid.ny)
+                rows = [None] * grid.ny
+                for j in range(self._posted, grid.ny):  # the rows post kept back
+                    rows[j] = _format_rows(self.values[j:j + 1])
+                self._stop_readers()
+                for _pid, pipe in self._children:
+                    pipe.read(1)  # each child's first claim precedes this process's
+                while (j := _claim(self._claims)) >= 0:
+                    rows[j] = _format_rows(self.values[j:j + 1])
+                sent = [pipe.read() for _pid, pipe in self._children]
+                _reap(self._children)
+                for j, text in (row for data in sent for row in pickle.loads(data)):
+                    rows[j] = text
+                fh.writelines(rows)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+        os.replace(tmp, path)
+
+    def _stop_readers(self) -> None:
+        """Queue one stop record per reader, this process included, in one
+        write.  While the queue is full only a running child can make room,
+        so a child that has exited by then has failed."""
+        while True:
+            try:
+                os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
+                return
+            except BlockingIOError:
+                select.select([], [self._queue], [], 0.1)
+                if any(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                       for pid, _pipe in self._children):
+                    raise OSError("CSV row formatter exited before its stop record") from None
+
+    def _fork(self):
+        """Fork a formatter child; returns (pid, read end of its pipe).  The
+        child leaves through os._exit on every path, so it never returns
+        into the caller and runs no exit handlers."""
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(self._queue)  # so that the queue closes when the parent dies
+                os.close(read_fd)
+                for _pid, pipe in self._children:
+                    pipe.close()
+                claimed = []
+                j = _claim(self._claims)
+                os.write(write_fd, b"\0")  # the first claim is made
+                while j >= 0:
+                    claimed.append((j, _format_rows(self.values[j:j + 1])))
+                    j = _claim(self._claims)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(claimed, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+
+
+def _claim(queue: int) -> int:
+    """The next row index on the queue, or -1 to stop; struct.error once
+    the queue's writer is gone."""
+    return _RECORD.unpack(os.read(queue, _RECORD.size))[0]
+
+
+def write_field_csv(fieldobj: Field, path: str, rows: Optional[FieldRows] = None) -> None:
     """Serialize a field; singular nodes become `nan`.
 
-    The rows are split into one contiguous block per CPU the process may
-    run on (at most one per row).  A forked child formats each block after
-    the first while this process formats the first, and the blocks are
-    joined in order, so the bytes do not depend on the CPU count.  Every
-    child has exited and been reaped before this returns.
+    `rows`, when given, is the FieldRows the field was marched into, whose
+    children have formatted rows since the march finished them; without
+    it every row is ready at once.  Either way this process formats rows
+    with the children until none is left, and every child has exited and
+    been reaped before this returns.  The bytes depend neither on the CPU
+    count nor on which process formatted a row.
 
     Writing is atomic: the content lands in a sibling temp file first,
-    which is removed if any block fails.
+    which is removed if any row fails.
     """
-    grid = fieldobj.grid
-    out = fieldobj.values.copy()
-    if fieldobj.singular is not None:
-        out[fieldobj.singular] = np.nan
-    header = (
-        f"# grid nx={grid.nx} ny={grid.ny} "
-        f"x0={grid.x0!r} x1={grid.x1!r} y0={grid.y0!r} y1={grid.y1!r}\n"
-    )
-    affinity = getattr(os, "sched_getaffinity", None)
-    blocks = np.array_split(out, min(len(affinity(0)), grid.ny) if affinity else 1)
-    tmp = path + ".tmp"
-    children = []  # (pid, read end of its pipe), in block order
-    try:
-        for block in blocks[1:]:
-            children.append(_fork_formatter(block))
-        with open(tmp, "wb") as fh:
-            fh.write(header.encode())
-            fh.write(_format_rows(blocks[0]))
-            for _pid, pipe in children:
-                shutil.copyfileobj(pipe, fh)
-        _reap(children)
-    except BaseException:
-        _reap(children, kill=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    if rows is None:
+        rows = FieldRows(fieldobj.grid)
+        rows.values[...] = fieldobj.values
+        if fieldobj.singular is not None:
+            rows.values[fieldobj.singular] = np.nan
+    elif fieldobj.values is not rows.values or fieldobj.singular is not None:
+        raise ValueError("the field does not hold the rows' values")
+    with rows:
+        rows.commit(path)
 
 
 def _format_rows(block: np.ndarray) -> bytes:
     """The CSV lines of the rows of `block`, each ending in a newline."""
     return "".join(",".join(map(repr, row.tolist())) + "\n" for row in block).encode()
-
-
-def _fork_formatter(block: np.ndarray):
-    """Fork a child that writes `_format_rows(block)` to a pipe.  Returns
-    (pid, read end).  The child leaves through os._exit on every path, so
-    it never returns into the caller and runs no exit handlers."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_format_rows(block))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
 
 
 def _reap(children: list, kill: bool = False) -> None:

@@ -403,7 +403,7 @@ class TestTorsion:
 
         n = 4
         values = {name: np.ones(n) for name in bk.TORSION_NAMES}
-        torsion = bk.TorsionInvariants(values, points=[reference_point()] * n, exprs=None)
+        torsion = bk.TorsionInvariants(values, points=[reference_point()] * n)
         assert not bk.check_normal(torsion)
 
     def test_normality_rejects_degenerate_a1(self):
@@ -413,7 +413,7 @@ class TestTorsion:
         values = {name: np.ones(n) for name in bk.TORSION_NAMES}
         values["A1"] = np.zeros(n)
         values["A2"] = -np.ones(n)
-        torsion = bk.TorsionInvariants(values, points=[reference_point()] * n, exprs=None)
+        torsion = bk.TorsionInvariants(values, points=[reference_point()] * n)
         assert not bk.check_normal(torsion)
 
 

@@ -556,6 +556,100 @@ class TestPropagateCommand:
         assert not out.exists()
 
 
+class TestPropagateAbort:
+    """A propagate that does not pass writes no file and leaves no
+    formatter child, whatever stage it stops in."""
+
+    DIVERGING_DEF = SG_DEF.split("[bt]")[0] + "[bt]\nF = p\nG = -q + v^2\n"
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    def propagate(self, tmp_path, capsys, text, *flags):
+        code = cli.main(["propagate", write_def(tmp_path, text), "--v0", "1", "--seed-u", "0",
+                         "--out", str(tmp_path / "v.csv"), *flags])
+        captured = capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]  # no file, no .tmp
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, captured
+
+    def test_divergence_after_rows_were_posted(self, tmp_path, capsys, forks):
+        # v_y = v^2 blows up near y = 1; the march posts every row first
+        code, captured = self.propagate(tmp_path, capsys, self.DIVERGING_DEF,
+                                        "--grid", "5,41", "--domain", "0,1,0,2")
+        assert code == 1
+        assert len(forks) == 2
+        rec = json.loads(captured.out)["records"][0]
+        assert (rec["status"], rec["witness"]) == ("error", "propagated state diverged on the grid")
+        assert captured.err == ""
+
+    def test_root_solve_error_in_the_column_sweep(self, tmp_path, capsys, monkeypatch, forks):
+        rk4_step = pp._rk4_step
+        columns = []
+
+        def failing_step(rhs, t, w, h):
+            if np.ndim(w):
+                columns.append(t)
+                if len(columns) == 10:
+                    raise pp.RootSolveError("v_x relation failed in column step 10")
+            return rk4_step(rhs, t, w, h)
+
+        monkeypatch.setattr(pp, "_rk4_step", failing_step)
+        code, captured = self.propagate(tmp_path, capsys, SG_DEF,
+                                        "--grid", "9,41", "--domain", "0,1,0,1")
+        assert code == 1
+        assert len(forks) == 2
+        rec = json.loads(captured.out)["records"][0]
+        assert (rec["status"], rec["witness"]) == ("error", "v_x relation failed in column step 10")
+
+    def test_reference_that_raises(self, tmp_path, capsys, forks):
+        code, captured = self.propagate(tmp_path, capsys, SG_DEF, "--grid", "9,9",
+                                        "--domain", "0,1,0,1", "--reference", "sqrt(x - 2)")
+        assert code == 1
+        assert len(forks) == 2
+        assert captured.out == ""
+        assert captured.err == "edsbt: sqrt of a negative\n"
+
+    def test_interrupt(self, tmp_path, capsys, monkeypatch, forks):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pp, "sample_field", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.propagate(tmp_path, capsys, SG_DEF, "--grid", "9,9", "--domain", "0,1,0,1",
+                           "--reference", "0")
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == 2
+
+    def test_unwritable_out(self, tmp_path, capsys, forks):
+        out = tmp_path / "missing" / "v.csv"
+        code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--v0", "1", "--seed-u", "0",
+                         "--grid", "9,9", "--domain", "0,1,0,1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(forks) == 2
+        assert captured.out == ""
+        assert captured.err == f"edsbt: [Errno 2] No such file or directory: '{out}.tmp'\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestTzitzeicaCommand:
     def test_fixed_point_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path / "hp.csv")

@@ -8,6 +8,10 @@ exactly the ODE system the marcher integrates, and v(0, 0) = pi.
 
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -545,3 +549,108 @@ class TestFieldCSV:
             fh.write("0.0,0.0\n0.0,0.0,0.0\n")
         with pytest.raises(ValueError):
             pp.read_field_csv(path)
+
+
+class TestFieldRows:
+    """The rows of a marched field are formatted while the march runs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_marched_bytes_match_one_process_writer(self, tmp_path, monkeypatch, forks, sg_bt,
+                                                   cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        grid = pp.Grid(31, 21, 0.0, 2.0, 0.0, 1.0)
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid) as rows:
+            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            assert len(forks) == cpus - 1
+            pp.write_field_csv(res.v, path, rows)
+        assert_no_child_left()
+        assert np.array_equal(res.v.values, plain.v.values)
+        assert res.compatibility_residual == plain.compatibility_residual
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(plain.v)
+        assert not os.path.exists(path + ".tmp")
+
+    def test_rows_claimed_by_both_processes(self, tmp_path, monkeypatch, forks, sg_bt):
+        # a slow parent leaves most queued rows to the child, so the two
+        # claim rows in an interleaved order
+        parent = os.getpid()
+        format_rows = pp._format_rows
+        in_parent = []
+
+        def slow(block):
+            time.sleep(0.01 if os.getpid() == parent else 0.005)
+            if os.getpid() == parent:
+                in_parent.append(block.copy())
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", slow)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = pp.Grid(31, 41, 0.0, 2.0, 0.0, 1.0)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid) as rows:
+            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            pp.write_field_csv(res.v, path, rows)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert 0 < len(in_parent) < grid.ny
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(res.v)
+
+    def test_field_outside_the_rows_rejected(self, tmp_path, sg_bt):
+        grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid) as rows:
+            with pytest.raises(ValueError):
+                pp.write_field_csv(pp.Field(grid, np.zeros((5, 5))), path, rows)
+        assert not os.path.exists(path)
+        assert_no_child_left()
+
+    def test_full_queue_with_dead_children_fails(self, tmp_path, monkeypatch, forks):
+        # more rows than the queue holds: with every child gone, nothing
+        # drains it, and the write must fail rather than wait for ever
+        parent = os.getpid()
+        format_rows = pp._format_rows
+
+        def failing_in_child(block):
+            if os.getpid() != parent:
+                raise MemoryError("formatting failed")
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", failing_in_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        field = pp.Field(pp.Grid(2, 40000, 0.0, 1.0, 0.0, 1.0), np.zeros((40000, 2)))
+        path = str(tmp_path / "f.csv")
+        with pytest.raises(OSError):
+            pp.write_field_csv(field, path)
+        assert len(forks) == 2
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".tmp")
+        assert_no_child_left()
+
+    def test_children_exit_when_the_parent_dies(self):
+        # the helper posts a few rows and exits without a commit; each of
+        # its children holds a copy of the helper's stdout, so stdout
+        # reaches end of file only once every child has exited
+        helper = (
+            "import os\n"
+            "from edsbt import propagate as pp\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "rows = pp.FieldRows(pp.Grid(4, 6, 0.0, 1.0, 0.0, 1.0))\n"
+            "rows.post(3)\n"
+            "print(*(pid for pid, _pipe in rows._children), flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src = os.path.dirname(os.path.dirname(pp.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen([sys.executable, "-c", helper], stdout=subprocess.PIPE, env=env)
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert proc.wait(timeout=30) == 0
+        assert len(pids) == 2
+        try:
+            proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            pytest.fail("formatter children outlived their parent")
