@@ -18,8 +18,10 @@ bracket where Newton fails).  Compatibility residuals difference the same
 right sides on the marched grid; they vanish to discretization accuracy
 exactly when the seed solves its PDE.
 
-The march can fill a FieldRows, whose forked children format each row of
-v as CSV text once it is final, while the march and the residual run.
+The march can fill a FieldRows, whose forked children format blocks of
+rows of v as CSV text once they are final, while the march and the
+residual run.  The text is repr's, but its digits are found for a whole
+block at once by exact integer and double arithmetic.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _march(rhs_x, rhs_y, start, grid: Grid, rows: Optional[FieldRows] = None) ->
     """March w_x = rhs_x(x, y, w) along y = y0 from w = `start` at (x0, y0),
     then w_y = rhs_y(x, y, w) up every column at once.  Returns w at every
     node, shaped start.shape + (ny, nx).  A scalar state may be marched
-    into `rows`, which is posted each row as soon as it is final."""
+    into `rows`, which is posted each row index as soon as that row is final."""
     start = np.asarray(start, dtype=float)
     xs, ys = grid.xs(), grid.ys()
 
@@ -175,7 +177,7 @@ def _march(rhs_x, rhs_y, start, grid: Grid, rows: Optional[FieldRows] = None) ->
     W[..., 0, :] = np.moveaxis(row, 0, -1)
     for j in range(grid.ny - 1):
         if rows is not None:
-            rows.post(j + 1)  # rows 0..j are final; the last is never queued
+            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
         W[..., j + 1, :] = _rk4_step(up_columns, ys[j], W[..., j, :], grid.hy)
     if not np.all(np.isfinite(W)):
         raise PropagationError("propagated state diverged on the grid")
@@ -329,7 +331,7 @@ def bt_propagate(
     the ODE right sides are exact.  `bracket`, when given, is a global
     (lo, hi) window for the v_x root solve in the non-affine case.  With
     `rows`, v is marched into its shared array, which starts formatting
-    each row of v as the march finishes it.
+    each block of rows of v as the march finishes it.
     """
     _require_interior(grid)
     params = _fixed_params(bt.chart)
@@ -525,33 +527,38 @@ _HEADER_RE = re.compile(
     r"^# grid nx=(\d+) ny=(\d+) "
     r"x0=(\S+) x1=(\S+) y0=(\S+) y1=(\S+)$"
 )
-_RECORD = struct.Struct("=i")  # a row index on the queue; -1 stops its reader
+_RECORD = struct.Struct("=i")  # a block index on the queue; -1 stops its reader
 _BATCH = select.PIPE_BUF // _RECORD.size  # records per write, so that each lands whole
+_BLOCK = 1 << 14  # values per block, over which one _format_rows call spreads its overhead
 
 
 class FieldRows:
     """The CSV rows of a grid function, formatted as soon as each is final.
 
-    `values` is an (ny, nx) array in shared memory.  One forked child per
-    further CPU this process may run on (at most one per row) claims row
-    indices from a queue, a pipe of 4-byte records, and formats those
-    rows; post(stop) queues the rows below `stop` once they are final.
-    commit() formats what is left here, claiming from the same queue, and
-    writes the rows in order.  The last row is never queued, so that this
-    process formats at least one.  Leaving the `with` block without a
-    commit kills and reaps every child; a child whose queue closes because
-    this process died exits at once.
+    `values` is an (ny, nx) array in shared memory, cut into blocks of
+    consecutive rows: about _BLOCK values each, but at least four blocks
+    per reader where there are rows enough.  One forked child per further
+    CPU this process may run on (at most one per row) claims block indices
+    from a queue, a pipe of 4-byte records, and formats those blocks;
+    post(stop) queues the blocks of the rows below `stop` once they are
+    final.  commit() formats what is left here, claiming from the same
+    queue, and writes the blocks in order.  The last block is never
+    queued, so that this process formats at least one.  Leaving the `with`
+    block without a commit kills and reaps every child; a child whose
+    queue closes because this process died exits at once.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
-        self._posted = 0  # rows below this are on the queue
+        self._posted = 0  # blocks below this are on the queue
         affinity = getattr(os, "sched_getaffinity", None)
         readers = min(len(affinity(0)), grid.ny, _BATCH) if affinity else 1  # see _stop_readers
+        self._rows = max(1, min(-(-_BLOCK // grid.nx), grid.ny // (4 * readers)))  # per block
+        self._blocks = -(-grid.ny // self._rows)
         self._claims, self._queue = os.pipe()
         os.set_blocking(self._queue, False)  # a full queue must not stop the march
-        self._children = []  # (pid, read end of the pipe its rows come back on)
+        self._children = []  # (pid, read end of the pipe its blocks come back on)
         try:
             for _ in range(readers - 1):
                 self._children.append(self._fork())
@@ -574,9 +581,10 @@ class FieldRows:
         self._claims = self._queue = -1
 
     def post(self, stop: int) -> None:
-        """Queue the rows below `stop` but the last; rows the queue has no
-        room for wait for the next post, or for commit to format them."""
-        stop = min(stop, self.grid.ny - 1)
+        """Queue the blocks of the rows below `stop` but the last block;
+        blocks the queue has no room for wait for the next post, or for
+        commit to format them."""
+        stop = min(stop // self._rows, self._blocks - 1)
         while self._children and self._posted < stop:
             count = min(stop - self._posted, _BATCH)
             records = struct.pack(f"={count}i", *range(self._posted, self._posted + count))
@@ -595,24 +603,30 @@ class FieldRows:
                 fh.write((f"# grid nx={grid.nx} ny={grid.ny} x0={grid.x0!r} x1={grid.x1!r} "
                           f"y0={grid.y0!r} y1={grid.y1!r}\n").encode())
                 self.post(grid.ny)
-                rows = [None] * grid.ny
-                for j in range(self._posted, grid.ny):  # the rows post kept back
-                    rows[j] = _format_rows(self.values[j:j + 1])
+                blocks = [None] * self._blocks
+                for k in range(self._posted, self._blocks):  # the blocks post kept back
+                    blocks[k] = self._format(k)
                 self._stop_readers()
                 for _pid, pipe in self._children:
                     pipe.read(1)  # each child's first claim precedes this process's
-                while (j := _claim(self._claims)) >= 0:
-                    rows[j] = _format_rows(self.values[j:j + 1])
-                sent = [pipe.read() for _pid, pipe in self._children]
+                while (k := _claim(self._claims)) >= 0:
+                    blocks[k] = self._format(k)
+                for _pid, pipe in self._children:
+                    # read as it is unpickled, so that the text is held once;
+                    # a child that failed sent nothing whole, and _reap says why
+                    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                        for k, text in pickle.load(pipe):
+                            blocks[k] = text
                 _reap(self._children)
-                for j, text in (row for data in sent for row in pickle.loads(data)):
-                    rows[j] = text
-                fh.writelines(rows)
+                fh.writelines(blocks)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
             raise
         os.replace(tmp, path)
+
+    def _format(self, k: int) -> bytes:
+        return _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
 
     def _stop_readers(self) -> None:
         """Queue one stop record per reader, this process included, in one
@@ -647,11 +661,11 @@ class FieldRows:
                 for _pid, pipe in self._children:
                     pipe.close()
                 claimed = []
-                j = _claim(self._claims)
+                k = _claim(self._claims)
                 os.write(write_fd, b"\0")  # the first claim is made
-                while j >= 0:
-                    claimed.append((j, _format_rows(self.values[j:j + 1])))
-                    j = _claim(self._claims)
+                while k >= 0:
+                    claimed.append((k, self._format(k)))
+                    k = _claim(self._claims)
                 with open(write_fd, "wb") as pipe:
                     pickle.dump(claimed, pipe, pickle.HIGHEST_PROTOCOL)
                 status = 0
@@ -662,7 +676,7 @@ class FieldRows:
 
 
 def _claim(queue: int) -> int:
-    """The next row index on the queue, or -1 to stop; struct.error once
+    """The next block index on the queue, or -1 to stop; struct.error once
     the queue's writer is gone."""
     return _RECORD.unpack(os.read(queue, _RECORD.size))[0]
 
@@ -671,11 +685,11 @@ def write_field_csv(fieldobj: Field, path: str, rows: Optional[FieldRows] = None
     """Serialize a field; singular nodes become `nan`.
 
     `rows`, when given, is the FieldRows the field was marched into, whose
-    children have formatted rows since the march finished them; without
-    it every row is ready at once.  Either way this process formats rows
-    with the children until none is left, and every child has exited and
-    been reaped before this returns.  The bytes depend neither on the CPU
-    count nor on which process formatted a row.
+    children have formatted blocks of rows since the march finished them;
+    without it every row is ready at once.  Either way this process
+    formats blocks with the children until none is left, and every child
+    has exited and been reaped before this returns.  The bytes depend
+    neither on the CPU count nor on which process formatted a block.
 
     Writing is atomic: the content lands in a sibling temp file first,
     which is removed if any row fails.
@@ -691,9 +705,157 @@ def write_field_csv(fieldobj: Field, path: str, rows: Optional[FieldRows] = None
         rows.commit(path)
 
 
+# ---------------------------------------------------------------------------
+# the text of a block of rows: repr's digits, found for the whole block at
+# once wherever they can be proven (Loitsch, PLDI 2010; Adams, PLDI 2018)
+
+
+def _split(v):
+    """Veltkamp's split of v into two halves of at most 26 bits each."""
+    t = v * 134217729.0  # 2**27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _exact_sum(s, u, v):
+    """Whether s = fl(u + v) is exact, by Knuth's TwoSum."""
+    w = s - u
+    return (u - (s - w)) + (v - w) == 0
+
+
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**p, exact for p <= 22
+_POW10_SPLIT = _split(_POW10)
+_INT10 = np.cumprod(np.r_[1, np.full(17, 10)])  # 10**k as int64, k <= 17
+# the four ASCII digits of each 0 <= g < 10**4, the first in the lowest byte
+_d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_DIGITS4 = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24).ravel()
+del _d
+# _FIRST[j] keeps the first j of four characters, _LAST[j] the last j
+_FIRST = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], "<u4")
+_LAST = ~_FIRST[::-1]
+# the point and 0-3 zeros; index 4 shows nothing
+_POINT = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", "<u4")
+
+
+def _trailing_zeros(m):
+    """The number of trailing decimal zeros of each 0 < m < 10**16."""
+    z = np.zeros(m.size, np.intp)
+    for k in (8, 4, 2, 1):
+        ok = m % _INT10[k] == 0
+        m = np.where(ok, m // _INT10[k], m)
+        z += ok * k
+    return z
+
+
+def _shortest(a):
+    """(c, p, t, ok): c * 10**-p is the shortest decimal that rounds to
+    a > 0, and the closest to a of those; c is in [1e16, 1e17) and has
+    t trailing zeros.  ok is False wherever that is not proven."""
+    # N = a * 10**p = hi + lo exactly, by Dekker's product; hi is an
+    # integer in [1e16, 1e17)
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi = a * _POW10[p]
+    p += (hi < 1e16).view(np.int8) - (hi >= 1e17).view(np.int8)
+    b = _POW10[p]
+    bh, bl = _POW10_SPLIT[0][p], _POW10_SPLIT[1][p]
+    ah, al = _split(a)
+    hi = a * b
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    # the rounding interval [hi + bot, hi + top]: half an ulp either side,
+    # a quarter below a power of two; its ends are in it for an even mantissa
+    bits = a.view(np.uint64)
+    h = (bits & np.uint64(0x7FF << 52)).view(float) * (b * 2.0**-53)
+    hl = np.where(bits & np.uint64(2**52 - 1) == 0, 0.5 * h, h)
+    top, bot = lo + h, lo - hl
+    ok = (hi >= 1e16) & (hi < 1e17) & _exact_sum(top, lo, h) & _exact_sum(bot, lo, -hl)
+    even = bits & np.uint64(1) == 0
+    hint = hi.astype(np.int64)
+    A = hint + np.where(even, np.ceil(bot), np.floor(bot) + 1).astype(np.int64)
+    B = hint + np.where(even, np.floor(top), np.ceil(top) - 1).astype(np.int64)
+    # the largest t with a multiple of 10**t in [A, B]: as B - A < 100, t > 1
+    # only where B % 100 <= B - A, and then the digits of B above are zeros
+    w = B - A
+    r2 = B % 100
+    t = (B % 10 <= w).astype(np.intp) + (r2 <= w)
+    more = np.flatnonzero(r2 <= w)
+    t[more] += _trailing_zeros(B[more] // 100)
+    # of those multiples, the one closest to N; an exact tie is not proven
+    fl = np.floor(lo)
+    n0 = hint + fl.astype(np.int64)
+    pw = _INT10[t]
+    d = n0 % pw
+    down = n0 - d
+    in_down, in_up = down >= A, down + pw <= B
+    key = 2 * (d + (lo - fl)) - pw
+    ok &= ~(in_down & in_up & (key == 0))
+    c = down + pw * (~in_down | (in_up & (key > 0)))
+    ok &= (c >= 10**16) & (c < 10**17)
+    return c, p, t, ok
+
+
 def _format_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of the rows of `block`, each ending in a newline."""
-    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in block).encode()
+    """The CSV lines of the rows of `block`, each ending in a newline: the
+    repr of each value, joined by commas.
+
+    The digits of the finite values with 1e-4 <= |x| < 1e16, which repr
+    prints without an exponent, are found here for the whole block at
+    once.  repr itself writes every other value, and every value whose
+    digits that arithmetic does not prove."""
+    nx = block.shape[-1]
+    x = np.ascontiguousarray(block, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    if np.all(a == np.floor(a)):  # integers: their digits, then ".0"
+        whole = a.astype(np.int64)
+        intd = np.searchsorted(_POW10, a, side="right")
+        zeros, frac, fd = 0, 0, 1
+    else:
+        c, p, t, ok = _shortest(a)
+        fast &= ok
+        pf = np.minimum(p, 17)
+        whole = c // _INT10[pf]
+        frac = (c - whole * _INT10[pf]) * _INT10[17 - pf]  # the digits after the zeros
+        intd = np.maximum(17 - p, 1)
+        zeros = np.where(fast, p - pf, 4)
+        fd = np.maximum(pf - t, 1)
+    intd = intd * fast  # integer digits shown
+    fd = fd * fast  # digits shown after the point and zeros
+    # each value's text in one record, NUL where no character is shown: the
+    # sign, the integer digits in groups of four, the point and zeros, the
+    # other digits, the separator; a field no value of the block shows is left out
+    fields = []
+    negative = fast & (x < 0)
+    if negative.any():
+        fields.append(("sign", negative.view(np.uint8) * np.uint8(ord("-"))))
+    for k in range(12, -1, -4):
+        if intd.max() > k:
+            group = whole // _INT10[k] % 10**4
+            fields.append((f"i{k}", _DIGITS4[group] & _LAST[np.clip(intd - k, 0, 4)]))
+    fields.append(("point", _POINT[zeros] if np.any(zeros) else fast.view(np.uint8) * np.uint8(ord("."))))
+    fields.append(("f", ((ord("0") + frac // 10**16) * fast).astype(np.uint8)))
+    for k in range(1, 17, 4):
+        if fd.max() > k:
+            group = frac // _INT10[13 - k] % 10**4  # digits k to k + 3 of the 17
+            fields.append((f"f{k}", _DIGITS4[group] & _FIRST[np.clip(fd - k, 0, 4)]))
+    fields.append(("sep", np.full(x.size, ord(","), np.uint8)))
+    fields[-1][1][nx - 1::nx] = ord("\n")
+    text = np.empty(x.size, [(name, f"<u{values.itemsize}") for name, values in fields])
+    for name, values in fields:
+        text[name] = values
+    shown = text.view(np.uint8) != 0
+    out = text.view(np.uint8)[shown].tobytes()
+    if fast.all():
+        return out
+    # repr's text goes before the separator, the only character of its record
+    slow = np.flatnonzero(~fast)
+    ends = np.cumsum(shown.reshape(x.size, -1).sum(1))[slow] - 1
+    pieces, start = [], 0
+    for v, end in zip(x[slow].tolist(), ends.tolist()):
+        pieces += (out[start:end], repr(v).encode())
+        start = end
+    pieces.append(out[start:])
+    return b"".join(pieces)
 
 
 def _reap(children: list, kill: bool = False) -> None:

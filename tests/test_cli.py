@@ -281,7 +281,8 @@ class TestCheckCommand:
         assert report["version"]
         assert report["kind"] == "bt"
         assert report["samples"] == 16
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         assert report["input_digest"] == f"sha256:{digest}"
         names = [r["name"] for r in report["records"]]
         assert names == [

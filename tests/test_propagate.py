@@ -6,6 +6,7 @@ gives v_x = -2*lam*sin(v/2) and v_y = -(2/lam)*sin(v/2), which is
 exactly the ODE system the marcher integrates, and v(0, 0) = pi.
 """
 
+import builtins
 import math
 import os
 import signal
@@ -15,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edsbt import backlund as bk
 from edsbt import expr as ex
@@ -434,6 +436,88 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def repr_rows(block):
+    """The CSV lines of `block` as repr writes them."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+# the biased exponents of the binades of 1e-4 and 1e16 and of those between:
+# repr prints 1e-4 <= |x| < 1e16 without an exponent
+FAST_EXPONENTS = (1009, 1076)
+
+PINNED = np.concatenate([
+    with_neighbours([2.0**k for k in range(-14, 54)]),
+    with_neighbours([float(f"1e{k}") for k in range(-4, 17)]),
+    [9999999999999998.0, 1e16, 1e-4, 0.1, 1 / 3, 5e-324, 1.7976931348623157e308, -0.0, math.nan],
+])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values _format_rows leaves to repr, in order."""
+    seen = []
+
+    def counting(value):
+        seen.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(pp, "repr", counting, raising=False)
+    return seen
+
+
+class TestFormatRows:
+    """_format_rows writes exactly the bytes of repr, row by row."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_drawn_bit_patterns(self, bits):
+        # each pattern as drawn, and with its exponent moved near the fast range
+        drawn = np.array(bits, dtype=np.uint64)
+        lo, hi = FAST_EXPONENTS
+        exponent = (drawn >> np.uint64(52) & np.uint64(0x7FF)) % np.uint64(hi - lo + 1) + np.uint64(lo)
+        moved = drawn & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+        values = np.concatenate([drawn, moved]).view(np.float64)
+        for block in (values[None, :], values[:, None]):
+            assert pp._format_rows(block) == repr_rows(block)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pinned_values(self, sign):
+        values = sign * PINNED
+        for block in (values[None, :], values[:, None], values.reshape(-1, 12)):
+            assert pp._format_rows(block) == repr_rows(block)
+
+    def test_row_mixing_fast_and_repr_values(self, fallbacks):
+        row = np.array([[math.nan, 1.5, -0.0, 1e300, 0.1, -1e-5, 3.0, 5e-324, 123456.789,
+                         -math.inf]])
+        assert pp._format_rows(row) == repr_rows(row)
+        assert [repr(v) for v in fallbacks] == ["nan", "-0.0", "1e+300", "-1e-05", "5e-324", "-inf"]
+
+    def test_binary_ties_left_to_repr(self, fallbacks):
+        # 2**50 + 0.25 lies halfway between the two shortest decimals that
+        # round to it; repr breaks the tie to the even digit
+        row = np.array([[2.0**50 + 0.25, 2.0**50 + 0.75]])
+        assert pp._format_rows(row) == repr_rows(row)
+        assert len(fallbacks) == 2
+
+    def test_workload_values_need_no_repr(self, fallbacks, sg_bt):
+        rng = np.random.default_rng(3)
+        integers = np.concatenate([
+            rng.integers(1, 2**53, 4000), [1, 2**53 - 1],
+            [10**k + d for k in range(1, 16) for d in (-1, 0, 1)],
+        ]).astype(float)
+        powers = np.array([2.0**k for k in range(-13, 54)])
+        kink = pp.bt_propagate(sg_bt, "0", math.pi, pp.Grid(201, 201, 0.0, 2.0, 0.0, 2.0))
+        for block in (np.ones((201, 201)), integers[None, :], -integers[:, None],
+                      powers[None, :], -powers[:, None], kink.v.values):
+            assert pp._format_rows(block) == repr_rows(block)
+        assert fallbacks == []
+
+
 class TestFieldCSV:
     def test_round_trip_bitwise(self, tmp_path, sg_bt):
         grid = pp.Grid(31, 21, 0.0, 2.0, 0.0, 1.0)
@@ -496,6 +580,30 @@ class TestFieldCSV:
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(field)
         assert forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_blocks_of_several_rows(self, tmp_path, monkeypatch, forks, cpus):
+        # 4000 values a row: each block holds several rows, and 37 rows
+        # leave the last block short
+        rng = np.random.default_rng(7)
+        field = pp.Field(pp.Grid(4000, 37, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(37, 4000)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        blocks = []
+        format_rows = pp._format_rows
+
+        def recording(block):
+            blocks.append(len(block))
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", recording)
+        path = str(tmp_path / "f.csv")
+        pp.write_field_csv(field, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(field)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        if cpus == 1:
+            assert len(blocks) > 1 and min(blocks[:-1]) > 1 and blocks[-1] < blocks[0]
 
     @pytest.mark.parametrize("fail_in_child", [True, False])
     def test_failed_block_leaves_no_file_and_no_child(
@@ -597,6 +705,57 @@ class TestFieldRows:
         assert 0 < len(in_parent) < grid.ny
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(res.v)
+
+    def test_parent_keeps_the_last_partial_block(self, tmp_path, monkeypatch, forks, sg_bt):
+        # 2000 values a row and 2 readers give blocks of 2 rows, so that the
+        # last of the 23 rows is a block of its own, which is never queued
+        parent = os.getpid()
+        format_rows = pp._format_rows
+        in_parent = []
+
+        def recording(block):
+            if os.getpid() == parent:
+                in_parent.append(block.copy())
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = pp.Grid(2000, 23, 0.0, 2.0, 0.0, 1.0)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid) as rows:
+            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            pp.write_field_csv(res.v, path, rows)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert in_parent and all(len(block) in (1, 2) for block in in_parent)
+        assert any(np.array_equal(block, res.v.values[-1:]) for block in in_parent)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(res.v)
+
+    def test_full_queue_of_single_row_blocks_with_dead_children_fails(
+        self, tmp_path, monkeypatch, forks
+    ):
+        # blocks of one row each, more than the queue holds: with every child
+        # gone, nothing drains it, and the write must fail rather than wait
+        parent = os.getpid()
+        format_rows = pp._format_rows
+
+        def failing_in_child(block):
+            if os.getpid() != parent:
+                raise MemoryError("formatting failed")
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", failing_in_child)
+        monkeypatch.setattr(pp, "_BLOCK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        field = pp.Field(pp.Grid(2, 40000, 0.0, 1.0, 0.0, 1.0), np.zeros((40000, 2)))
+        path = str(tmp_path / "f.csv")
+        with pytest.raises(OSError, match="before its stop record"):
+            pp.write_field_csv(field, path)
+        assert len(forks) == 2
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".tmp")
+        assert_no_child_left()
 
     def test_field_outside_the_rows_rejected(self, tmp_path, sg_bt):
         grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
