@@ -723,9 +723,9 @@ def _exact_sum(s, u, v):
     return (u - (s - w)) + (v - w) == 0
 
 
-_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**p, exact for p <= 22
+_POW10 = np.array([float(10**p) for p in range(23)])  # 10**p, exact for p <= 22
 _POW10_SPLIT = _split(_POW10)
-_INT10 = np.cumprod(np.r_[1, np.full(17, 10)])  # 10**k as int64, k <= 17
+_INT10 = np.array([10**k for k in range(18)], np.int64)  # 10**k as int64, k <= 17
 # the four ASCII digits of each 0 <= g < 10**4, the first in the lowest byte
 _d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
 _DIGITS4 = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24).ravel()
@@ -741,10 +741,19 @@ def _trailing_zeros(m):
     """The number of trailing decimal zeros of each 0 < m < 10**16."""
     z = np.zeros(m.size, np.intp)
     for k in (8, 4, 2, 1):
-        ok = m % _INT10[k] == 0
-        m = np.where(ok, m // _INT10[k], m)
+        q = m // _INT10[k]
+        ok = q * _INT10[k] == m
+        m = np.where(ok, q, m)
         z += ok * k
     return z
+
+
+def _group(v, k):
+    """The decimal digits 10**k to 10**(k + 3) of each v >= 0, as an index
+    into _DIGITS4.  numpy divides by a scalar about three times faster
+    than it takes a remainder, hence no %."""
+    q = v // _INT10[k]
+    return q - q // 10**4 * 10**4
 
 
 def _shortest(a):
@@ -775,10 +784,10 @@ def _shortest(a):
     # the largest t with a multiple of 10**t in [A, B]: as B - A < 100, t > 1
     # only where B % 100 <= B - A, and then the digits of B above are zeros
     w = B - A
-    r2 = B % 100
-    t = (B % 10 <= w).astype(np.intp) + (r2 <= w)
-    more = np.flatnonzero(r2 <= w)
-    t[more] += _trailing_zeros(B[more] // 100)
+    q1, q2 = B // 10, B // 100
+    t = (B - 10 * q1 <= w).astype(np.intp) + (B - 100 * q2 <= w)
+    more = np.flatnonzero(t == 2)
+    t[more] += _trailing_zeros(q2[more])
     # of those multiples, the one closest to N; an exact tie is not proven
     fl = np.floor(lo)
     n0 = hint + fl.astype(np.int64)
@@ -806,21 +815,14 @@ def _format_rows(block: np.ndarray) -> bytes:
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
-    if np.all(a == np.floor(a)):  # integers: their digits, then ".0"
-        whole = a.astype(np.int64)
-        intd = np.searchsorted(_POW10, a, side="right")
-        zeros, frac, fd = 0, 0, 1
-    else:
-        c, p, t, ok = _shortest(a)
-        fast &= ok
-        pf = np.minimum(p, 17)
-        whole = c // _INT10[pf]
-        frac = (c - whole * _INT10[pf]) * _INT10[17 - pf]  # the digits after the zeros
-        intd = np.maximum(17 - p, 1)
-        zeros = np.where(fast, p - pf, 4)
-        fd = np.maximum(pf - t, 1)
-    intd = intd * fast  # integer digits shown
-    fd = fd * fast  # digits shown after the point and zeros
+    c, p, t, ok = _shortest(a)
+    fast &= ok
+    pf = np.minimum(p, 17)
+    whole = c // _INT10[pf]
+    frac = (c - whole * _INT10[pf]) * _INT10[17 - pf]  # the digits after the zeros
+    zeros = np.where(fast, p - pf, 4)
+    intd = np.maximum(17 - p, 1) * fast  # integer digits shown
+    fd = np.maximum(pf - t, 1) * fast  # digits shown after the point and zeros
     # each value's text in one record, NUL where no character is shown: the
     # sign, the integer digits in groups of four, the point and zeros, the
     # other digits, the separator; a field no value of the block shows is left out
@@ -830,13 +832,12 @@ def _format_rows(block: np.ndarray) -> bytes:
         fields.append(("sign", negative.view(np.uint8) * np.uint8(ord("-"))))
     for k in range(12, -1, -4):
         if intd.max() > k:
-            group = whole // _INT10[k] % 10**4
-            fields.append((f"i{k}", _DIGITS4[group] & _LAST[np.clip(intd - k, 0, 4)]))
+            fields.append((f"i{k}", _DIGITS4[_group(whole, k)] & _LAST[np.clip(intd - k, 0, 4)]))
     fields.append(("point", _POINT[zeros] if np.any(zeros) else fast.view(np.uint8) * np.uint8(ord("."))))
     fields.append(("f", ((ord("0") + frac // 10**16) * fast).astype(np.uint8)))
     for k in range(1, 17, 4):
         if fd.max() > k:
-            group = frac // _INT10[13 - k] % 10**4  # digits k to k + 3 of the 17
+            group = _group(frac, 13 - k)  # digits k to k + 3 of the 17
             fields.append((f"f{k}", _DIGITS4[group] & _FIRST[np.clip(fd - k, 0, 4)]))
     fields.append(("sep", np.full(x.size, ord(","), np.uint8)))
     fields[-1][1][nx - 1::nx] = ord("\n")
