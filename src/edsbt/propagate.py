@@ -9,14 +9,14 @@ determines the companion solution v up to the single constant v(x0, y0).
 The (alpha, beta) system attached to solutions of (ln h)_xy = h - h^{-2}
 has the same form; its output h' = 2*alpha*beta - h solves that equation.
 
-Each system is written once, as right sides w_x = rhs_x(x, y, w) and
-w_y = rhs_y(x, y, w) over node arrays, and one march runs both: classical
-RK4 along the base row y = y0, then up every column at once.  rhs_x
-solves the first relation for v_x, in closed form when F is affine in
-v_x, else with one elementwise root solver (Newton, then bisection on a
-bracket where Newton fails).  Compatibility residuals difference the same
-right sides on the marched grid; they vanish to discretization accuracy
-exactly when the seed solves its PDE.
+Each system is written once, as right sides w_x = P and w_y = Q over
+node arrays, and one march runs both: classical RK4 along the base row
+y = y0, then up every column at once.  P solves the first relation for
+v_x, in closed form when F is affine in v_x, else with one elementwise
+root solver (Newton, then bisection on a bracket where Newton fails).
+The compatibility residual max |P_y - Q_x| is folded in as each row
+becomes final, from the march's own Q there and one solve for P; it
+vanishes to discretization accuracy exactly when the seed solves its PDE.
 
 The march can fill a FieldRows, whose forked children format blocks of
 rows of v as CSV text once they are final, while the march and the
@@ -26,6 +26,7 @@ block at once by exact integer and double arithmetic.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import mmap
 import os
@@ -132,14 +133,19 @@ class Field:
 
 
 def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
-    """Pointwise evaluation of an expression in x, y over the grid."""
+    """Pointwise evaluation of an expression in x, y over the grid, in blocks
+    of about _BLOCK values, each on its own np.meshgrid: the values are
+    bitwise the whole mesh's, and a failure raises from its lowest block."""
     e = ex.as_expr(e, ("x", "y"), tuple(params or ()))
-    X, Y = grid.mesh()
+    value = ex.compile((e,))
     env = dict(params or {})
-    env["x"] = X
-    env["y"] = Y
-    vals = np.broadcast_to(np.asarray(ex.evaluate(e, env), dtype=float), X.shape)
-    return Field(grid, np.array(vals))
+    xs, ys = grid.xs(), grid.ys()
+    vals = np.empty((grid.ny, grid.nx))
+    step = max(1, _BLOCK // grid.nx)
+    for j in range(0, grid.ny, step):
+        env["x"], env["y"] = np.meshgrid(xs, ys[j:j + step])
+        vals[j:j + step] = value(env, 0.0)[0]
+    return Field(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +160,37 @@ def _rk4_step(rhs, t, w, h):
     return w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(rhs_x, rhs_y, start, grid: Grid, rows: Optional[FieldRows] = None) -> np.ndarray:
-    """March w_x = rhs_x(x, y, w) along y = y0 from w = `start` at (x0, y0),
-    then w_y = rhs_y(x, y, w) up every column at once.  Returns w at every
-    node, shaped start.shape + (ny, nx).  A scalar state may be marched
-    into `rows`, which is posted each row index as soon as that row is final."""
+def _per_stage(terms):
+    """terms(t), evaluated once for each run of bitwise-equal stage
+    coordinates t: k2 and k3 share t + h/2, and k4's t + h serves the next
+    step's k1 and the final row there when it is bitwise that node."""
+    last = [None, None]
+
+    def at(t):
+        key = float(t).hex()
+        if key != last[0]:
+            last[:] = key, terms(t)
+        return last[1]
+
+    return at
+
+
+def _full(a, shape):
+    """`a` broadcast to `shape`: np.broadcast_to costs more than a row's arithmetic."""
+    return a if np.shape(a) == shape else np.broadcast_to(a, shape)
+
+
+def _march(along_row, up_columns, p_row, start, grid: Grid, rows: Optional[FieldRows] = None):
+    """March w_x = along_row(x, w) along y = y0 from w = `start` at (x0, y0),
+    then w_y = up_columns(y, w) up every column at once.  Returns w at every
+    node, shaped start.shape + (ny, nx), and per component the compatibility
+    residual max |P_y - Q_x| over the interior nodes, by central differences,
+    folded in as each row j is final: Q is up_columns there, the first stage
+    of row j's step, and P = p_row(j, w).  An exception from p_row is raised
+    once the march has passed its finiteness check.  A scalar state may be
+    marched into `rows`, which is posted each row index once that row is final."""
     start = np.asarray(start, dtype=float)
     xs, ys = grid.xs(), grid.ys()
-
-    def along_row(x, w):
-        return rhs_x(x, grid.y0, w)
-
-    def up_columns(y, w):
-        return rhs_y(xs, y, w)
-
     # node-major, so that row[i] of a scalar state is a numpy scalar
     row = np.empty((grid.nx,) + start.shape)
     row[0] = start
@@ -175,13 +198,44 @@ def _march(rhs_x, rhs_y, start, grid: Grid, rows: Optional[FieldRows] = None) ->
         row[i + 1] = _rk4_step(along_row, xs[i], row[i], grid.hx)
     W = np.empty(start.shape + (grid.ny, grid.nx)) if rows is None else rows.values
     W[..., 0, :] = np.moveaxis(row, 0, -1)
+
+    P = collections.deque(maxlen=3)  # P at the last three final rows
+    worst = np.full(start.shape, -np.inf)
+    failure = None
+
+    def fold(j, w, q_below):  # P at row j closes interior row j - 1, whose Q is q_below
+        nonlocal worst, failure
+        if failure is not None:
+            return
+        try:
+            P.append(_full(p_row(j, w), w.shape))
+        except Exception as err:  # held until the march has passed its finiteness check
+            failure = err
+            return
+        if j > 1:
+            q = _full(q_below, w.shape)
+            d = ((P[2][..., 1:-1] - P[0][..., 1:-1]) / (2 * grid.hy)
+                 - (q[..., 2:] - q[..., :-2]) / (2 * grid.hx))
+            worst = np.maximum(worst, np.abs(d).max(axis=-1))
+
+    def stage(y, s):  # the step's first stage reads row j itself: k1
+        return k1 if s is w else up_columns(y, s)
+
+    k1 = None
     for j in range(grid.ny - 1):
         if rows is not None:
             rows.post(j + 1)  # rows 0..j are final; the last block is never queued
-        W[..., j + 1, :] = _rk4_step(up_columns, ys[j], W[..., j, :], grid.hy)
+        w, q_below = W[..., j, :], k1
+        k1 = up_columns(ys[j], w)  # row j of Q
+        fold(j, w, q_below)
+        W[..., j + 1, :] = _rk4_step(stage, ys[j], w, grid.hy)
     if not np.all(np.isfinite(W)):
         raise PropagationError("propagated state diverged on the grid")
-    return W
+    fold(grid.ny - 1, W[..., -1, :], k1)
+    if failure is not None:
+        raise failure
+    up_columns(ys[-1], W[..., -1, :])  # unread, but a right side that fails there fails
+    return W, worst
 
 
 def _require_interior(grid: Grid) -> None:
@@ -205,13 +259,6 @@ def _d_xy(a, grid: Grid) -> np.ndarray:
     return (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) / (4 * grid.hx * grid.hy)
 
 
-def _cross_residual(P, Q, grid) -> float:
-    """max |P_y - Q_x| over the interior nodes, by central differences: the
-    cross-derivative test of u_x = P, u_y = Q."""
-    P, Q = (np.broadcast_to(a, (grid.ny, grid.nx)) for a in (P, Q))
-    return float(np.max(np.abs(_d_y(P, grid) - _d_x(Q, grid))))
-
-
 def _fixed_params(chart) -> dict:
     fixed = {}
     for name, val in chart.params.items():
@@ -229,13 +276,13 @@ def _fixed_params(chart) -> dict:
 
 
 def _solve_p(F, Fp, env, target, start, bracket):
-    """Solve F(..., p) = target for p at every node: Newton from `start`,
-    then bisection on `bracket` at each node where Newton stalls
-    (|F_p| < GUARD), leaves the bracket or runs out of steps."""
+    """Solve F(..., p) = target for p at every node, F and Fp compiled:
+    Newton from `start`, then bisection on `bracket` at each node where
+    Newton stalls (|F_p| < GUARD), leaves the bracket or runs out of steps."""
 
     def residual(p):
         env["p"] = p
-        return ex.evaluate(F, env) - target
+        return F(env, 0.0)[0] - target
 
     lo, hi = (-np.inf, np.inf) if bracket is None else bracket
     tol = 1e-12 * (1.0 + np.abs(target))
@@ -248,7 +295,7 @@ def _solve_p(F, Fp, env, target, start, bracket):
         newton &= ~(np.abs(r) <= tol)
         if not newton.any():
             break
-        d = ex.evaluate(Fp, env)
+        d = Fp(env, 0.0)[0]
         stalled = newton & (np.abs(d) < GUARD)
         newton &= ~stalled
         p_next = p - r / np.where(newton, d, 1.0)
@@ -339,39 +386,56 @@ def bt_propagate(
     ux_e = ex.differentiate(seed, "x")
     uy_e = ex.differentiate(seed, "y")
     split = _affine_split(bt.F)
+    # every right side is compiled once.  The seed terms (u, u_x) along the base
+    # row and (u, u_y) up the columns do not depend on v, so they are evaluated
+    # once per stage coordinate; up the columns on the row's y as an array, as
+    # over the whole mesh, since numpy's scalar and array powers may round apart
+    seed_x, seed_y, ux = (ex.compile(roots) for roots in ((seed, ux_e), (seed, uy_e), (ux_e,)))
+    G = ex.compile((bt.G,))
+    if split is None:
+        F, Fp = ex.compile((bt.F,)), ex.compile((bt.fp,))
+    else:
+        f0, f1 = (ex.compile((e,)) for e in split)
+    xs, ys = grid.xs(), grid.ys()
 
-    def env_at(x, y, v):  # the one environment both right sides read
-        env = dict(params, x=x, y=y)
-        env["u"] = ex.evaluate(seed, env)
-        env["v"] = v
-        return env
-
-    def v_x(env, start):
-        target = ex.evaluate(ux_e, env)
+    def v_x(env, target, start):
         if split is None:
-            return _solve_p(bt.F, bt.fp, env, target, start, bracket)
-        f0, f1 = split
-        slope = ex.evaluate(f1, env)
-        if np.min(np.abs(slope)) < GUARD:
+            return _solve_p(F, Fp, env, target, start, bracket)
+        slope = f1(env, 0.0)[0]
+        if np.abs(slope).min() < GUARD:
             raise RootSolveError(f"|F_p| < {GUARD} where v_x is solved for")
-        return (target - ex.evaluate(f0, env)) / slope
+        return (target - f0(env, 0.0)[0]) / slope
 
-    def v_y(env):
-        env["q"] = ex.evaluate(uy_e, env)
-        return ex.evaluate(bt.G, env)
+    @_per_stage
+    def base_terms(x):  # the environment at (x, y0), and u_x there
+        env = dict(params, x=x, y=grid.y0)
+        env["u"], target = seed_x(env, 0.0)
+        return env, target
+
+    @_per_stage
+    def column_terms(y):  # the environment on the row at y, with q = u_y
+        env = dict(params, x=xs, y=np.full(grid.nx, y))
+        env["u"], env["q"] = seed_y(env, 0.0)
+        return env
 
     # along the base row, Newton starts from the previous root
     last_p = 0.0 if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
-    def rhs_x(x, y, v):
+    def along_row(x, v):
         nonlocal last_p
-        last_p = v_x(env_at(x, y, v), last_p)
+        env, target = base_terms(x)
+        last_p = v_x(dict(env, v=v), target, last_p)
         return last_p
 
-    V = _march(rhs_x, lambda x, y, v: v_y(env_at(x, y, v)), v0, grid, rows)
-    env = env_at(*grid.mesh(), V)
-    P = v_x(env, np.gradient(V, grid.hx, axis=1) if split is None else None)
-    return BTPropagation(Field(grid, V), _cross_residual(P, v_y(env), grid))
+    def up_columns(y, v):
+        return G(dict(column_terms(y), v=v), 0.0)[0]
+
+    def p_row(j, v):  # on a final row, Newton starts from the row's own slope
+        env = dict(column_terms(ys[j]), v=v)
+        return v_x(env, ux(env, 0.0)[0], np.gradient(v, grid.hx) if split is None else None)
+
+    V, residual = _march(along_row, up_columns, p_row, v0, grid, rows)
+    return BTPropagation(Field(grid, V), float(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -450,31 +514,40 @@ def tzitzeica_propagate(
     lam = float(lam)
     if abs(lam) < GUARD:
         raise PropagationError("lam must be bounded away from zero")
-    hx_e = ex.differentiate(h, "x")
-    hy_e = ex.differentiate(h, "y")
+    # each compiled once; h and a derivative are evaluated once per stage coordinate
+    h_of, hx_of, hy_of = (ex.compile((e,)) for e in (h, ex.differentiate(h, "x"),
+                                                      ex.differentiate(h, "y")))
+    xs, ys = grid.xs(), grid.ys()
+    H = np.empty((grid.ny, grid.nx))  # h at each final row, for h'
 
-    def at(e, x, y):
-        return np.asarray(ex.evaluate(e, {"x": x, "y": y}), dtype=float)
-
-    def h_at(x, y):
-        hv = at(h, x, y)
+    def terms(env, derivative):  # h, checked against the guard, then its derivative
+        hv = h_of(env, 0.0)[0]
         if np.min(np.abs(hv)) < GUARD:
             raise PropagationError("seed |h| fell inside the guard")
-        return hv
+        return env, hv, derivative(env, 0.0)[0]
 
-    def w_x(x, y, w, hv):  # hv = h at the nodes, shared with w_y
+    base_terms = _per_stage(lambda x: terms({"x": x, "y": grid.y0}, hx_of))
+    column_terms = _per_stage(lambda y: terms({"x": xs, "y": np.full(grid.nx, y)}, hy_of))
+
+    def w_x(w, hv, hx):
         a, b = w
-        return np.stack([(at(hx_e, x, y) * a + lam * b) / hv - a * a, hv - a * b])
+        return np.stack([(hx * a + lam * b) / hv - a * a, hv - a * b])
 
-    def w_y(x, y, w, hv):
+    def along_row(x, w):
+        _, hv, hx = base_terms(x)
+        return w_x(w, hv, hx)
+
+    def up_columns(y, w):
+        _, hv, hy = column_terms(y)
         a, b = w
-        return np.stack([hv - a * b, (at(hy_e, x, y) * b + a / lam) / hv - b * b])
+        return np.stack([hv - a * b, (hy * b + a / lam) / hv - b * b])
 
-    W = _march(lambda x, y, w: w_x(x, y, w, h_at(x, y)),
-               lambda x, y, w: w_y(x, y, w, h_at(x, y)), (alpha0, beta0), grid)
-    X, Y = grid.mesh()
-    H = h_at(X, Y)
-    P, Q = w_x(X, Y, W, H), w_y(X, Y, W, H)
+    def p_row(j, w):
+        env, hv, _ = column_terms(ys[j])
+        H[j] = hv
+        return w_x(w, hv, hx_of(env, 0.0)[0])
+
+    W, (alpha_c, beta_c) = _march(along_row, up_columns, p_row, (alpha0, beta0), grid)
     A, B = W
     h_prime = 2.0 * A * B - H
     mask = np.abs(h_prime) < GUARD
@@ -482,8 +555,8 @@ def tzitzeica_propagate(
         alpha=Field(grid, A),
         beta=Field(grid, B),
         h_prime=Field(grid, h_prime, singular=mask if mask.any() else None),
-        alpha_compatibility=_cross_residual(P[0], Q[0], grid),
-        beta_compatibility=_cross_residual(P[1], Q[1], grid),
+        alpha_compatibility=float(alpha_c),
+        beta_compatibility=float(beta_c),
         singular_count=int(mask.sum()),
     )
 

@@ -616,6 +616,18 @@ class TestPropagateAbort:
         rec = json.loads(captured.out)["records"][0]
         assert (rec["status"], rec["witness"]) == ("error", "v_x relation failed in column step 10")
 
+    def test_root_solve_error_in_the_residual_only(self, tmp_path, capsys, forks):
+        # F_p = y - 0.5 vanishes on the row y = 0.5 alone: the march never
+        # solves for v_x there, the compatibility residual does
+        text = SG_DEF.replace("F = p + ", "F = p*(y - 0.5) + ")
+        code, captured = self.propagate(tmp_path, capsys, text,
+                                        "--grid", "9,41", "--domain", "0,1,0,2")
+        assert code == 1
+        assert len(forks) == 2
+        rec = json.loads(captured.out)["records"][0]
+        assert (rec["status"], rec["witness"]) == ("error", "|F_p| < 1e-06 where v_x is solved for")
+        assert captured.err == ""
+
     def test_reference_that_raises(self, tmp_path, capsys, forks):
         code, captured = self.propagate(tmp_path, capsys, SG_DEF, "--grid", "9,9",
                                         "--domain", "0,1,0,1", "--reference", "sqrt(x - 2)")

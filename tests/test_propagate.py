@@ -110,6 +110,14 @@ class TestSampleField:
         with pytest.raises(ex.DomainError):
             pp.sample_field("1/x", g)
 
+    def test_blocks_match_the_mesh(self, monkeypatch):
+        monkeypatch.setattr(pp, "_BLOCK", 3 * 7)  # three rows per block, the last one short
+        grid = pp.Grid(7, 11, -1.0, 1.0, 0.3, 1.9)
+        text = "x*y^3 + sin(y)^3 + a*exp(x - y)"
+        X, Y = grid.mesh()
+        want = ex.evaluate(ex.parse(text, ("x", "y"), ("a",)), {"a": 0.7, "x": X, "y": Y})
+        assert np.array_equal(pp.sample_field(text, grid, params={"a": 0.7}).values, want)
+
 
 class TestBTPropagate:
     def test_kink(self, sg_bt):
@@ -383,6 +391,179 @@ class TestTzitzeicaResidual:
         mask = np.ones((4, 4), dtype=bool)
         with pytest.raises(pp.SingularFieldError):
             pp.tzitzeica_residual(pp.Field(grid, vals, singular=mask))
+
+
+# ---------------------------------------------------------------------------
+# the compatibility residual streamed from the march's own right sides
+
+
+def cross_residual(P, Q, grid):
+    P, Q = (np.broadcast_to(a, (grid.ny, grid.nx)) for a in (P, Q))
+    return float(np.max(np.abs(pp._d_y(P, grid) - pp._d_x(Q, grid))))
+
+
+def mesh_compatibility(bt, seed, v, bracket=None):
+    """The residual over the whole mesh: every right side evaluated on
+    grid.mesh() through ex.evaluate at the marched v, then differenced."""
+    grid = v.grid
+    params = pp._fixed_params(bt.chart)
+    seed = ex.as_expr(seed, ("x", "y"), tuple(params))
+    X, Y = grid.mesh()
+    env = dict(params, x=X, y=Y)
+    env["u"] = ex.evaluate(seed, env)
+    env["v"] = v.values
+    target = ex.evaluate(ex.differentiate(seed, "x"), env)
+    split = pp._affine_split(bt.F)
+    if split is None:
+        start = np.gradient(v.values, grid.hx, axis=1)
+        F, Fp = ex.compile((bt.F,)), ex.compile((bt.fp,))
+        P = pp._solve_p(F, Fp, env, target, start, bracket)
+    else:
+        P = (target - ex.evaluate(split[0], env)) / ex.evaluate(split[1], env)
+    env["q"] = ex.evaluate(ex.differentiate(seed, "y"), env)
+    return cross_residual(P, ex.evaluate(bt.G, env), grid)
+
+
+def sg_lam(lam):
+    ch = bk.b_chart(params={"lam": lam})
+    return bk.build_wavelike(SG_F, SG_G, ch, ch.sample_spec(count=16))
+
+
+def non_affine_bt(F):
+    ch = bk.b_chart()
+    return bk.build_wavelike(F, "-q", ch, ch.sample_spec(count=16))
+
+
+# the kink seed of the two-soliton; at the origin both kinks are pi, so v = 0 there
+KINK_SEED = "4*atan(exp(-(x + y)))"
+
+
+class TestStreamedCompatibility:
+    """The residual folded in row by row during the march equals, bitwise,
+    the one computed over the whole mesh from the marched field."""
+
+    @pytest.mark.parametrize("make_bt, seed, v0, grid, bracket", [
+        (lambda: sg_lam(1.0), "0", math.pi, pp.Grid(201, 201, 0.0, 2.0, 0.0, 2.0), None),
+        (lambda: sg_lam(0.8), "0", math.pi, pp.Grid(201, 201, 0.0, 2.0, 0.0, 2.0), None),
+        (lambda: sg_lam(2.2), KINK_SEED, 0.0, pp.Grid(101, 101, 0.0, 1.0, 0.0, 1.0),
+         None),
+        # Newton stops within its tolerance, so the bits of P depend on its start
+        (lambda: non_affine_bt("p + 0.2*p^3"), "3*x + sin(x*y)", 0.5,
+         pp.Grid(41, 31, 0.0, 2.0, 0.0, 1.0), (-5.0, 5.0)),
+        (lambda: non_affine_bt("atan(p)"), "1.4*x + 0.1*x*y", 0.5,
+         pp.Grid(21, 21, 0.0, 1.0, 0.0, 1.0), (-10.0, 70.0)),
+        # numpy's scalar and array powers may round differently, and y-only
+        # terms see the row's y as an array, as on the mesh
+        (lambda: sg_lam(1.0), "x*y^3 + sin(y)^3", 0.5, pp.Grid(201, 201, -1.0, 1.0, 0.5, 1.5),
+         None),
+    ], ids=["kink", "kink-lam0.8", "two-soliton", "cubic-bracketed", "atan-bracketed",
+            "y-power"])
+    def test_equals_the_mesh_residual(self, make_bt, seed, v0, grid, bracket):
+        bt = make_bt()
+        res = pp.bt_propagate(bt, seed, v0, grid, bracket=bracket)
+        assert res.compatibility_residual == mesh_compatibility(bt, seed, res.v, bracket)
+
+    @pytest.mark.parametrize("h, lam", [("2 + x + y", 1.0), ("2 + sin(x*y) + y^3", 1.3)])
+    def test_tzitzeica_equals_the_mesh_residual(self, h, lam):
+        grid = pp.Grid(41, 31, 0.0, 0.3, 0.0, 0.3)
+        res = pp.tzitzeica_propagate(h, lam, 0.5, 0.7, grid)
+        X, Y = grid.mesh()
+        h = ex.as_expr(h, ("x", "y"))
+        H, Hx, Hy = (ex.evaluate(e, {"x": X, "y": Y})
+                     for e in (h, ex.differentiate(h, "x"), ex.differentiate(h, "y")))
+        A, B = res.alpha.values, res.beta.values
+        assert res.alpha_compatibility == cross_residual((Hx * A + lam * B) / H - A * A,
+                                                         H - A * B, grid)
+        assert res.beta_compatibility == cross_residual(H - A * B,
+                                                        (Hy * B + A / lam) / H - B * B, grid)
+        assert np.array_equal(res.h_prime.values, 2.0 * A * B - H)
+
+
+class TestFailurePrecedence:
+    @staticmethod
+    def bt(F, G="-q + (2/lam)*sin((u - v)/2)"):
+        ch = bk.b_chart(params={"lam": 1.0})
+        return bk.build_wavelike(F, G, ch, ch.sample_spec(count=16))
+
+    def test_divergence_outranks_a_residual_failure(self):
+        # F_p = y - 0.25 vanishes on the row y = 0.25, where only the
+        # residual solves for v_x; v_y = v^2 blows up further up
+        bt = self.bt("p*(y - 0.25) + 2*lam*sin((u + v)/2)", "-q + v^2")
+        with pytest.raises(pp.RootSolveError, match=r"\|F_p\|"):
+            pp.bt_propagate(bt, "0", 1.0, pp.Grid(5, 9, 0.0, 0.1, 0.0, 0.5))
+        with pytest.raises(pp.PropagationError, match="diverged") as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pp.bt_propagate(bt, "0", 1.0, pp.Grid(5, 33, 0.0, 0.1, 0.0, 2.0))
+        assert not isinstance(err.value, pp.RootSolveError)
+
+    def test_lower_residual_row_wins(self):
+        # f0 = 1/(y - 0.25) fails on the row y = 0.25 and F_p = y - 0.5 on
+        # the row y = 0.5; over the whole mesh the F_p guard was checked first
+        bt = self.bt("p*(y - 0.5) + 1/(y - 0.25)")
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            pp.bt_propagate(bt, "0", 1.0, pp.Grid(5, 9, 0.0, 0.1, 0.0, 1.0))
+        # swapped, the guard's row is the lower one
+        bt = self.bt("p*(y - 0.25) + 1/(y - 0.5)")
+        with pytest.raises(pp.RootSolveError, match=r"\|F_p\|"):
+            pp.bt_propagate(bt, "0", 1.0, pp.Grid(5, 9, 0.0, 0.1, 0.0, 1.0))
+
+    def test_right_side_failing_on_the_last_row_alone(self):
+        # the last column step's k4 lands a rounding below y = 0.7, so only
+        # the last row's own evaluation of G divides by zero
+        bt = self.bt(SG_F, "-q + 1/(y - 0.7)")
+        grid = pp.Grid(5, 11, 0.0, 0.1, 0.0, 0.7)
+        assert grid.ys()[-1] == 0.7 != grid.ys()[-2] + grid.hy
+        with pytest.raises(ex.DomainError, match="division by zero"):
+            pp.bt_propagate(bt, "0", 1.0, grid)
+
+    def test_lower_sample_block_wins(self, monkeypatch):
+        # sqrt(0.5 - y) fails on the upper rows and ln(y) on the first; over
+        # the whole mesh sqrt's failure was found first
+        monkeypatch.setattr(pp, "_BLOCK", 10)  # two rows of five per block
+        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ex.DomainError, match="ln argument"):
+            pp.sample_field("sqrt(0.5 - y) + ln(y)", grid)
+        with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+            pp.sample_field("sqrt(0.5 - y) + ln(y + 1)", grid)
+
+
+class TestSeedTermReuse:
+    """u and u_y are evaluated once per distinct stage coordinate: k2 and
+    k3 share y + h/2, and k4 serves the next k1 where it is that node."""
+
+    @staticmethod
+    def seed_calls(monkeypatch, grid):
+        seed = ex.parse(KINK_SEED, ("x", "y"))
+        compile_ = ex.compile
+        calls = {"base_row": 0, "columns": 0}
+
+        def counting_compile(roots):
+            roots = tuple(roots)
+            fn = compile_(roots)
+            if seed not in roots:
+                return fn
+
+            def counted(env, guard):
+                calls["columns" if np.ndim(env["x"]) else "base_row"] += 1
+                return fn(env, guard)
+
+            return counted
+
+        monkeypatch.setattr(ex, "compile", counting_compile)
+        pp.bt_propagate(sg_lam(2.2), seed, 0.0, grid)
+        return calls
+
+    def test_dyadic_steps_reuse_k4(self, monkeypatch):
+        # every stage coordinate is exact, so each step evaluates two new ones
+        calls = self.seed_calls(monkeypatch, pp.Grid(9, 33, 0.0, 1.0, 0.0, 1.0))
+        assert calls == {"base_row": 2 * 8 + 1, "columns": 2 * 32 + 1}
+
+    def test_at_most_three_per_step(self, monkeypatch):
+        grid = pp.Grid(9, 41, 0.0, 0.3, 0.0, 0.7)
+        calls = self.seed_calls(monkeypatch, grid)
+        # one more on the last row, whose P the residual reads
+        assert 2 * (grid.ny - 1) < calls["columns"] <= 3 * (grid.ny - 1) + 1
+        assert 2 * (grid.nx - 1) < calls["base_row"] <= 3 * (grid.nx - 1) + 1
 
 
 
