@@ -448,8 +448,10 @@ def _at_point(runner: _Runner) -> Optional[list]:
     for item in runner.args.at.split(","):
         if "=" not in item:
             raise DefinitionError(f"--at needs k=v pairs, got {item!r}")
-        key, value = item.split("=", 1)
-        bindings[key.strip()] = _parse_float(value.strip(), f"--at {key.strip()}")
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in bindings:
+            raise DefinitionError(f"--at repeats {key}")
+        bindings[key] = _parse_float(value, f"--at {key}")
     coords = {}
     for name in chart.coords:
         if name not in bindings:
@@ -628,12 +630,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(payload)
-    if json_path:
+    if json_path:  # first, so that a failed write prints no report
         tmp = json_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, json_path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, json_path)
+        finally:
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+    sys.stdout.write(payload)
 
 
 def main(argv=None) -> int:
@@ -644,14 +650,14 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             runner = _Runner(args)
             COMMANDS[args.command](runner)
+        report = runner.report(args.command)
+        _emit(report, args.json)
     except DefinitionError as err:
         print(f"edsbt: {err}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, ArithmeticError, OSError) as err:
         print(f"edsbt: {err}", file=sys.stderr)
         return 1
-    report = runner.report(args.command)
-    _emit(report, args.json)
     failed = any(rec["status"] != "pass" for rec in report["records"])
     return 1 if failed else 0
 

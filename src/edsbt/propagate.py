@@ -18,10 +18,10 @@ The compatibility residual max |P_y - Q_x| is folded in as each row
 becomes final, from the march's own Q there and one solve for P; it
 vanishes to discretization accuracy exactly when the seed solves its PDE.
 
-The march can fill a FieldRows, whose forked children format blocks of
-rows of v as CSV text once they are final, while the march and the
-residual run.  The text is repr's, but its digits are found for a whole
-block at once by exact integer and double arithmetic.
+The march can fill a FieldRows, whose forked children take blocks of
+final rows of v from a queue that never fills and format them as CSV
+text while the march and the residual run.  The text is repr's, found
+exactly for a whole block at once from half an ulp either side of each value.
 """
 
 from __future__ import annotations
@@ -601,16 +601,23 @@ _HEADER_RE = re.compile(
     r"x0=(\S+) x1=(\S+) y0=(\S+) y1=(\S+)$"
 )
 _RECORD = struct.Struct("=i")  # a block index on the queue; -1 stops its reader
-_BATCH = select.PIPE_BUF // _RECORD.size  # records per write, so that each lands whole
+_QUEUE = select.PIPE_BUF // _RECORD.size  # records the queue is ever given
 _BLOCK = 1 << 14  # values per block, over which one _format_rows call spreads its overhead
+
+
+def _block_rows(ny: int, nx: int, readers: int) -> int:
+    """Rows per FieldRows block: about _BLOCK values, at least four blocks
+    per reader where rows allow, and so few blocks that all the queue is
+    ever given (every block but the last, and a stop per reader) fits in
+    PIPE_BUF bytes, which a pipe always holds: no write to it waits."""
+    return max(-(-ny // (_QUEUE - readers)), min(-(-_BLOCK // nx), ny // (4 * readers)))
 
 
 class FieldRows:
     """The CSV rows of a grid function, formatted as soon as each is final.
 
     `values` is an (ny, nx) array in shared memory, cut into blocks of
-    consecutive rows: about _BLOCK values each, but at least four blocks
-    per reader where there are rows enough.  One forked child per further
+    consecutive rows (see _block_rows).  One forked child per further
     CPU this process may run on (at most one per row) claims block indices
     from a queue, a pipe of 4-byte records, and formats those blocks;
     post(stop) queues the blocks of the rows below `stop` once they are
@@ -626,11 +633,10 @@ class FieldRows:
         self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
         self._posted = 0  # blocks below this are on the queue
         affinity = getattr(os, "sched_getaffinity", None)
-        readers = min(len(affinity(0)), grid.ny, _BATCH) if affinity else 1  # see _stop_readers
-        self._rows = max(1, min(-(-_BLOCK // grid.nx), grid.ny // (4 * readers)))  # per block
+        readers = min(len(affinity(0)), grid.ny, _QUEUE - 1) if affinity else 1
+        self._rows = _block_rows(grid.ny, grid.nx, readers)
         self._blocks = -(-grid.ny // self._rows)
         self._claims, self._queue = os.pipe()
-        os.set_blocking(self._queue, False)  # a full queue must not stop the march
         self._children = []  # (pid, read end of the pipe its blocks come back on)
         try:
             for _ in range(readers - 1):
@@ -654,18 +660,11 @@ class FieldRows:
         self._claims = self._queue = -1
 
     def post(self, stop: int) -> None:
-        """Queue the blocks of the rows below `stop` but the last block;
-        blocks the queue has no room for wait for the next post, or for
-        commit to format them."""
+        """Queue the blocks of the rows below `stop` but the last block."""
         stop = min(stop // self._rows, self._blocks - 1)
-        while self._children and self._posted < stop:
-            count = min(stop - self._posted, _BATCH)
-            records = struct.pack(f"={count}i", *range(self._posted, self._posted + count))
-            try:
-                os.write(self._queue, records)
-            except BlockingIOError:
-                return
-            self._posted += count
+        if self._children and self._posted < stop:
+            os.write(self._queue, struct.pack(f"={stop - self._posted}i", *range(self._posted, stop)))
+            self._posted = stop
 
     def commit(self, path: str) -> None:
         """Write every row to `path`, through a sibling .tmp file."""
@@ -679,9 +678,13 @@ class FieldRows:
                 blocks = [None] * self._blocks
                 for k in range(self._posted, self._blocks):  # the blocks post kept back
                     blocks[k] = self._format(k)
-                self._stop_readers()
+                os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
+                # each child claims before this process does, so that every
+                # child gets a block where one is queued for it and a failing
+                # child fails the write (without the wait, 6 of 300 writes of
+                # 7 rows by two children did not)
                 for _pid, pipe in self._children:
-                    pipe.read(1)  # each child's first claim precedes this process's
+                    pipe.read(1)
                 while (k := _claim(self._claims)) >= 0:
                     blocks[k] = self._format(k)
                 for _pid, pipe in self._children:
@@ -700,20 +703,6 @@ class FieldRows:
 
     def _format(self, k: int) -> bytes:
         return _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
-
-    def _stop_readers(self) -> None:
-        """Queue one stop record per reader, this process included, in one
-        write.  While the queue is full only a running child can make room,
-        so a child that has exited by then has failed."""
-        while True:
-            try:
-                os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
-                return
-            except BlockingIOError:
-                select.select([], [self._queue], [], 0.1)
-                if any(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                       for pid, _pipe in self._children):
-                    raise OSError("CSV row formatter exited before its stop record") from None
 
     def _fork(self):
         """Fork a formatter child; returns (pid, read end of its pipe).  The
@@ -790,12 +779,6 @@ def _split(v):
     return hi, v - hi
 
 
-def _exact_sum(s, u, v):
-    """Whether s = fl(u + v) is exact, by Knuth's TwoSum."""
-    w = s - u
-    return (u - (s - w)) + (v - w) == 0
-
-
 _POW10 = np.array([float(10**p) for p in range(23)])  # 10**p, exact for p <= 22
 _POW10_SPLIT = _split(_POW10)
 _INT10 = np.array([10**k for k in range(18)], np.int64)  # 10**k as int64, k <= 17
@@ -831,8 +814,8 @@ def _group(v, k):
 
 def _shortest(a):
     """(c, p, t, ok): c * 10**-p is the shortest decimal that rounds to
-    a > 0, and the closest to a of those; c is in [1e16, 1e17) and has
-    t trailing zeros.  ok is False wherever that is not proven."""
+    1e-4 <= a < 1e16, and the closest to a of those; c is in [1e16, 1e17)
+    and has t trailing zeros.  ok is False wherever that is not proven."""
     # N = a * 10**p = hi + lo exactly, by Dekker's product; hi is an
     # integer in [1e16, 1e17)
     p = 16 - np.floor(np.log10(a)).astype(np.intp)
@@ -843,17 +826,13 @@ def _shortest(a):
     ah, al = _split(a)
     hi = a * b
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    # the rounding interval [hi + bot, hi + top]: half an ulp either side,
-    # a quarter below a power of two; its ends are in it for an even mantissa
-    bits = a.view(np.uint64)
-    h = (bits & np.uint64(0x7FF << 52)).view(float) * (b * 2.0**-53)
-    hl = np.where(bits & np.uint64(2**52 - 1) == 0, 0.5 * h, h)
-    top, bot = lo + h, lo - hl
-    ok = (hi >= 1e16) & (hi < 1e17) & _exact_sum(top, lo, h) & _exact_sum(bot, lo, -hl)
-    even = bits & np.uint64(1) == 0
+    # the integers [A, B] of the rounding interval, half an ulp h either
+    # side of N; _format_rows says why that is enough on its range
+    h = (a.view(np.uint64) & np.uint64(0x7FF << 52)).view(float) * (b * 2.0**-53)
+    ok = (hi >= 1e16) & (hi < 1e17)
     hint = hi.astype(np.int64)
-    A = hint + np.where(even, np.ceil(bot), np.floor(bot) + 1).astype(np.int64)
-    B = hint + np.where(even, np.floor(top), np.ceil(top) - 1).astype(np.int64)
+    A = hint + np.ceil(lo - h).astype(np.int64)
+    B = hint + np.floor(lo + h).astype(np.int64)
     # the largest t with a multiple of 10**t in [A, B]: as B - A < 100, t > 1
     # only where B % 100 <= B - A, and then the digits of B above are zeros
     w = B - A
@@ -886,6 +865,15 @@ def _format_rows(block: np.ndarray) -> bytes:
     nx = block.shape[-1]
     x = np.ascontiguousarray(block, dtype=float).ravel()
     a = np.abs(x)
+    # Half an ulp h either side of a, ends included, gives repr's digits on
+    # this range.  An end is a midpoint between doubles: below 2**52 it has
+    # 18 or more significant digits, so no 17-digit c is one; above, it is a
+    # half or an odd integer, and a itself is at least as short and closer.
+    # Below each 2**k in range (-13 <= k <= 53) the true interval is a
+    # quarter ulp shorter, but 2**k has at most 16 digits and no shorter
+    # decimal lies in that quarter (TestFormatRows pins each power).  With
+    # 2**e <= a < 2**(e + 1), lo and h are multiples of 2**(e + p - 53) >=
+    # 2**-47, |lo| <= 8 and h < 12, so lo - h and lo + h are exact.
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
     c, p, t, ok = _shortest(a)

@@ -452,6 +452,14 @@ class TestTorsionCommand:
         assert code == 0
         assert report["A1"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_at_rejects_a_repeated_name(self, tmp_path, capsys):
+        path = write_def(tmp_path, SG_DEF)
+        code = cli.main(["torsion", path, "--at", AT_REFERENCE + ",x=1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "edsbt: --at repeats x\n"
+
     def test_at_rejects_unknown_names(self, tmp_path, capsys):
         code, _ = run(
             capsys, "torsion", write_def(tmp_path, SG_DEF), "--at", AT_REFERENCE + ",zz=1"
@@ -764,6 +772,20 @@ class TestReproducibility:
         out = capsys.readouterr().out
         assert target.read_text() == out
         assert not (tmp_path / "report.json.tmp").exists()
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "taken"])
+    def test_unwritable_json_file_is_one_stderr_line(self, tmp_path, capsys, target):
+        # a directory that does not exist, and a directory in the file's place
+        path = write_def(tmp_path, SG_DEF)
+        (tmp_path / "taken").mkdir()
+        before = sorted(tmp_path.iterdir())
+        code = cli.main(["check", path, "--samples", "8", "--json", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("edsbt: ") and captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+        assert list((tmp_path / "taken").iterdir()) == []
 
     def test_spec_block_drives_defaults(self, tmp_path, capsys):
         path = write_def(tmp_path, SG_DEF + "\n[spec]\nsamples = 4\ntol = 1e-7\n")

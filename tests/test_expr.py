@@ -639,6 +639,24 @@ def test_compile_matches_the_tree_walk(roots, env, guard):
         assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
 
 
+@pytest.mark.parametrize(
+    "e, message",
+    [
+        (P("x/(1/10000000)"), "denominator inside guard"),
+        (expr.Div(Var("x"), Const(Fraction(-1, 10**7))), "denominator inside guard"),
+        (expr.Mul(Var("x"), expr.Pow(Const(Fraction(1, 10**7)), -1)), "power base inside guard"),
+    ],
+)
+def test_constant_inside_a_positive_guard_raises(e, message):
+    # the guard is an argument of the call, so a constant denominator or
+    # negative-power base is checked at every call like any other operand
+    compiled = expr.compile((e,))
+    for run in (_walk_evaluate, evaluate, lambda e, env, guard: compiled(env, guard)[0]):
+        with pytest.raises(DomainError, match=message):
+            run(e, {"x": 1.0}, 1e-6)
+        assert abs(run(e, {"x": 1.0}, 1e-8)) == pytest.approx(1e7)
+
+
 def _distinct_nodes(e, seen=None):
     seen = set() if seen is None else seen
     if e not in seen:

@@ -9,6 +9,7 @@ exactly the ODE system the marcher integrates, and v(0, 0) = pi.
 import builtins
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -913,11 +914,9 @@ class TestFieldRows:
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(res.v)
 
-    def test_full_queue_of_single_row_blocks_with_dead_children_fails(
-        self, tmp_path, monkeypatch, forks
-    ):
-        # blocks of one row each, more than the queue holds: with every child
-        # gone, nothing drains it, and the write must fail rather than wait
+    def test_dead_children_with_the_longest_queue_fail(self, tmp_path, monkeypatch, forks):
+        # blocks of one row would be 40,000 records; the queue is given 999
+        # blocks and 3 stops, and no write to it waits for the dead children
         parent = os.getpid()
         format_rows = pp._format_rows
 
@@ -931,12 +930,25 @@ class TestFieldRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         field = pp.Field(pp.Grid(2, 40000, 0.0, 1.0, 0.0, 1.0), np.zeros((40000, 2)))
         path = str(tmp_path / "f.csv")
-        with pytest.raises(OSError, match="before its stop record"):
+        with pytest.raises(OSError, match="CSV row formatter failed"):
             pp.write_field_csv(field, path)
         assert len(forks) == 2
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
         assert_no_child_left()
+
+    def test_queued_records_fit_in_pipe_buf(self):
+        queue = select.PIPE_BUF // 4
+        tall = [int(n) for n in np.unique(np.geomspace(1100, 10**6, 150).astype(int))]
+        heights = list(range(1, 1100)) + tall + [k * (queue - r) + d for k in (2, 979)
+                                                 for r in (1, 2, 64) for d in (-1, 0, 1)]
+        for readers in range(1, 65):
+            for nx in (1, 3, 1601, 4000):
+                for ny in heights:
+                    if readers <= ny:
+                        rows = pp._block_rows(ny, nx, readers)
+                        assert 1 <= rows <= ny
+                        assert -(-ny // rows) - 1 + readers <= queue
 
     def test_field_outside_the_rows_rejected(self, tmp_path, sg_bt):
         grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
@@ -947,9 +959,8 @@ class TestFieldRows:
         assert not os.path.exists(path)
         assert_no_child_left()
 
-    def test_full_queue_with_dead_children_fails(self, tmp_path, monkeypatch, forks):
-        # more rows than the queue holds: with every child gone, nothing
-        # drains it, and the write must fail rather than wait for ever
+    def test_dead_children_fail_the_write(self, tmp_path, monkeypatch, forks):
+        # children that die leave their blocks unformatted: the write fails
         parent = os.getpid()
         format_rows = pp._format_rows
 
