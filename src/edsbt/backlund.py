@@ -16,7 +16,6 @@ vanish for a valid adapted section.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -296,17 +295,14 @@ def normal_margins(torsion: TorsionInvariants) -> dict:
 class BuildReport:
     """Diagnostics from build_wavelike.
 
-    c2/c4 are the stored correction coefficients with the sign that satisfied
-    the adapted-derivative conditions; df/dg are the residual checks that the
-    derived pair (f, g) depends on (v, p) only through F and on (u, q) only
-    through G -- the defining property of a genuine transformation.
+    c2/c4 are the theta-correction coefficients of w2/w4, F_v/F_p and
+    G_u/G_q; df/dg are the residual checks that the derived pair (f, g)
+    depends on (v, p) only through F and on (u, q) only through G -- the
+    defining property of a genuine transformation.
     """
 
     c2: Expr
-    c2_sign: int
     c4: Expr
-    c4_sign: int
-    adapted_residual: float
     df_residual: CheckResult
     dg_residual: CheckResult
     fp_margin: float
@@ -356,8 +352,9 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
 
     Solves the linear pair  f - g F_p = F_y + q F_u + G F_v,
                             g - f G_q = G_x + F G_u + p G_v
-    for (f, g), builds the adapted coframe, fixes the theta-corrections in
-    w2/w4 pointwise, and reports the residual diagnostics.
+    for (f, g), builds the adapted coframe, whose theta-corrections in w2/w4
+    are set in closed form by two structural zeros, and reports the residual
+    diagnostics.
     """
     chart = chart or b_chart()
     F, G = (ex.as_expr(e, chart.coords, chart.params) for e in (F, G))
@@ -395,19 +392,10 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
     eta2 = dp - g * dy
     eta4 = dq - f * dx
 
-    c2, c2_sign, res2 = _fit_correction(
-        spec, fm.exterior_derivative(theta), theta,
-        [fm.wedge(dx, eta2), fm.wedge(dx, theta_bar), fm.wedge(dy, eta4)],
-        target_col=1, lead_col=0,
-        candidate=ex.div(ex.differentiate(F, "v"), Fp),
-    )
-    c4, c4_sign, res4 = _fit_correction(
-        spec, fm.exterior_derivative(theta_bar), theta_bar,
-        [fm.wedge(dx, eta2), fm.wedge(dy, eta4), fm.wedge(dy, theta)],
-        target_col=2, lead_col=1,
-        candidate=ex.div(ex.differentiate(G, "u"), Gq),
-    )
-
+    # with dp = w2 - c2 theta_bar + g dy and dq = w4 - c4 theta + f dx, the theta_bar^w1
+    # slot of d theta reads F_p c2 - F_v and the theta^w3 slot of d theta_bar G_q c4 - G_u
+    c2 = ex.div(ex.differentiate(F, "v"), Fp)
+    c4 = ex.div(ex.differentiate(G, "u"), Gq)
     w2 = eta2 + c2 * theta_bar
     w4 = eta4 + c4 * theta
     section = CoframeSection(chart, theta, theta_bar, dx, w2, dy, w4)
@@ -422,57 +410,10 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
     )
 
     report = BuildReport(
-        c2=c2, c2_sign=c2_sign, c4=c4, c4_sign=c4_sign,
-        adapted_residual=max(res2, res4),
-        df_residual=df_res, dg_residual=dg_res,
+        c2=c2, c4=c4, df_residual=df_res, dg_residual=dg_res,
         fp_margin=fp_margin, gq_margin=gq_margin, delta_margin=delta_margin,
     )
     return WavelikeBT(chart, F, G, f, g, Fp, Gq, section, report)
-
-
-def _fit_correction(spec, d_contact, contact, block_forms, target_col, lead_col,
-                    candidate: Expr):
-    """Solve the derivative-condition projection pointwise and match the
-    correction coefficient against +-candidate.
-
-    The derivative of the contact form, wedged with the form itself, must lie
-    in the span of {block ^ contact}; the coefficient on column `target_col`
-    divided by the one on `lead_col` gives the correction value at each point.
-    Returns (signed expression, sign, worst least-squares residual).
-    """
-    columns = [fm.wedge(b, contact) for b in block_forms]
-    rhs_form = fm.wedge(d_contact, contact)
-
-    def fit(pt: Point):
-        A = fm.coefficient_matrix_at([rhs_form, *columns], pt, spec.guard)
-        sol, resid = fm.span_residual(A[:, 1:], A[:, 0])
-        lead = sol[lead_col]
-        if abs(lead) < spec.guard:
-            raise ex.DomainError("leading block coefficient vanished")
-        cand = float(ex.evaluate(candidate, pt.env(), spec.guard))
-        return resid, sol[target_col] / lead, cand
-
-    probe_spec = dataclasses.replace(spec, count=min(spec.count, 8))
-    resids, ratios, cand_vals = zip(*(v for _, v in ex.sampled_collect(probe_spec, fit)))
-    worst_resid = max(0.0, *resids)
-    if worst_resid > max(spec.tolerance, 1e-8):
-        raise WavelikeBuildError(
-            f"adapted-derivative conditions unsatisfied (residual {worst_resid:.3e})"
-        )
-    ratios_arr = np.array(ratios)
-    cand_arr = np.array(cand_vals)
-    scale = 1.0 + np.max(np.abs(ratios_arr))
-    plus = float(np.max(np.abs(ratios_arr - cand_arr))) / scale
-    minus = float(np.max(np.abs(ratios_arr + cand_arr))) / scale
-    threshold = max(spec.tolerance, 1e-8)
-    if plus <= threshold:
-        return candidate, 1, worst_resid
-    if minus <= threshold:
-        return ex.neg(candidate), -1, worst_resid
-    raise WavelikeBuildError(
-        "neither sign of the closed-form correction matches the adapted-"
-        f"derivative conditions (deviations {plus:.3e} / {minus:.3e})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -307,12 +307,9 @@ class _Runner:
 
     def build_bt(self) -> bk.WavelikeBT:
         from . import backlund as bk
-        bt = bk.build_wavelike(
+        return bk.build_wavelike(
             self.defn.body["F"], self.defn.body["G"], self.defn.chart, self.spec
         )
-        self.notes.append(f"w2 correction c2 fitted as {bt.report.c2_sign:+d} * F_v/F_p")
-        self.notes.append(f"w4 correction c4 fitted as {bt.report.c4_sign:+d} * G_u/G_q")
-        return bt
 
     def build_ma(self) -> ma.MongeAmpereSystem:
         from . import monge_ampere as ma
@@ -540,10 +537,11 @@ def cmd_propagate(runner: _Runner) -> None:
     with pp.FieldRows(grid) as rows:  # formats v's rows while they are computed
         try:
             result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows)
-            if args.reference is not None:
-                expected = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart))
-                error = np.abs(result.v.values - expected.values)
+            if args.reference is not None:  # |v - expected| in place, freed before the write
+                error = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart)).values
+                np.abs(np.subtract(result.v.values, error, out=error), out=error)
                 runner.extras["sup_error"] = float(np.max(error))
+                del error
         except pp.PropagationError as err:
             runner.record("propagation", "error", witness=str(err))
             return

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -480,6 +481,42 @@ class TestStreamedCompatibility:
         assert np.array_equal(res.h_prime.values, 2.0 * A * B - H)
 
 
+class TestBoostCovariance:
+    """Under the boost phi(x, y) = (k x, y/k), the transformation with
+    parameter lam becomes the one with k lam: marching k lam from the seed
+    u o phi on the boosted grid gives v o phi.  An identity of the march,
+    not of the PDE: the second seed does not solve u_xy = sin u."""
+
+    LAM, V0, GRID = 1.3, 0.4, pp.Grid(201, 201, 0.0, 2.0, 0.0, 2.0)
+
+    def runs(self, seed, k):
+        g = self.GRID
+        base = pp.bt_propagate(sg_lam(self.LAM), seed, self.V0, g)
+        moved = ex.substitute(ex.parse(seed, ("x", "y")), "x", ex.mul(ex.Const(k), ex.Var("x")))
+        moved = ex.substitute(moved, "y", ex.div(ex.Var("y"), ex.Const(k)))
+        k = float(k)
+        boosted = pp.Grid(g.nx, g.ny, g.x0 / k, g.x1 / k, g.y0 * k, g.y1 * k)
+        return base, pp.bt_propagate(sg_lam(k * self.LAM), moved, self.V0, boosted)
+
+    SEEDS = pytest.mark.parametrize(
+        "seed", [KINK_SEED, KINK_SEED + " + 0.3*sin(x*y)"], ids=["kink", "non-solution"]
+    )
+
+    @SEEDS
+    @pytest.mark.parametrize("k", [Fraction(2), Fraction(1, 2)], ids=["2", "1/2"])
+    def test_dyadic_boost_is_bitwise(self, seed, k):
+        base, boosted = self.runs(seed, k)
+        assert np.array_equal(boosted.v.values, base.v.values)
+        assert boosted.compatibility_residual == base.compatibility_residual
+
+    @SEEDS
+    def test_boost_by_three_within_rounding(self, seed):
+        # the bounds observed on this grid: 3 * 2**-52 on v, 5.1e-14 on the residual
+        base, boosted = self.runs(seed, Fraction(3))
+        assert np.max(np.abs(boosted.v.values - base.v.values)) <= 6.7e-16
+        assert abs(boosted.compatibility_residual - base.compatibility_residual) <= 5.1e-14
+
+
 class TestFailurePrecedence:
     @staticmethod
     def bt(F, G="-q + (2/lam)*sin((u - v)/2)"):
@@ -639,6 +676,15 @@ PINNED = np.concatenate([
 ])
 
 
+# values x with a shorter decimal d just beyond half an ulp h below them,
+# x - 1.01 h <= d < x - h: an interval a hundredth of h wider below would print d
+BEYOND_HALF_ULP = [
+    ("0.00010510000000000001", "0.0001051"), ("0.0006490000000000001", "0.000649"),
+    ("0.043000000000000003", "0.043"), ("0.08600000000000001", "0.086"),
+    ("1.0010000000000001", "1.001"), ("9.883000000000001", "9.883"),
+]
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The values _format_rows leaves to repr, in order."""
@@ -671,6 +717,16 @@ class TestFormatRows:
     def test_pinned_values(self, sign):
         values = sign * PINNED
         for block in (values[None, :], values[:, None], values.reshape(-1, 12)):
+            assert pp._format_rows(block) == repr_rows(block)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shorter_decimal_just_beyond_half_an_ulp(self, sign):
+        for text, shorter in BEYOND_HALF_ULP:
+            x = float(text)
+            h = Fraction(2) ** (math.frexp(x)[1] - 54)
+            assert h < Fraction(x) - Fraction(shorter) <= Fraction(101, 100) * h
+        values = sign * np.array([float(text) for text, _ in BEYOND_HALF_ULP])
+        for block in (values[None, :], values[:, None]):
             assert pp._format_rows(block) == repr_rows(block)
 
     def test_row_mixing_fast_and_repr_values(self, fallbacks):
