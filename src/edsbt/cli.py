@@ -537,11 +537,9 @@ def cmd_propagate(runner: _Runner) -> None:
     with pp.FieldRows(grid) as rows:  # formats v's rows while they are computed
         try:
             result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows)
-            if args.reference is not None:  # |v - expected| in place, freed before the write
-                error = pp.sample_field(reference, grid, params=pp._fixed_params(bt.chart)).values
-                np.abs(np.subtract(result.v.values, error, out=error), out=error)
-                runner.extras["sup_error"] = float(np.max(error))
-                del error
+            if args.reference is not None:
+                runner.extras["sup_error"] = pp.sup_error(reference, result.v,
+                                                          pp._fixed_params(bt.chart))
         except pp.PropagationError as err:
             runner.record("propagation", "error", witness=str(err))
             return

@@ -20,8 +20,12 @@ vanishes to discretization accuracy exactly when the seed solves its PDE.
 
 The march can fill a FieldRows, whose forked children take blocks of
 final rows of v from a queue that never fills and format them as CSV
-text while the march and the residual run.  The text is repr's, found
-exactly for a whole block at once from half an ulp either side of each value.
+text while the march and the residual run.  At the write each child
+sends its blocks back one framed block at a time, and the file is
+written in order as they arrive, so this process never holds the whole
+text.  The text is repr's, found exactly for a whole block at once from
+half an ulp either side of each value.  A reference solution is compared
+with v one block of rows at a time (sup_error).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import collections
 import contextlib
 import mmap
 import os
-import pickle
 import re
 import select
 import signal
@@ -132,20 +135,48 @@ class Field:
         return 0 if self.singular is None else int(self.singular.sum())
 
 
-def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
-    """Pointwise evaluation of an expression in x, y over the grid, in blocks
-    of about _BLOCK values, each on its own np.meshgrid: the values are
-    bitwise the whole mesh's, and a failure raises from its lowest block."""
+def _sample_blocks(e, grid: Grid, params: Optional[dict] = None):
+    """Yield (j, block): an expression in x, y evaluated pointwise on the
+    rows from j of the grid, in blocks of about _BLOCK values, each on its
+    own np.meshgrid, so that the values are bitwise the whole mesh's and a
+    failure raises from its lowest block."""
     e = ex.as_expr(e, ("x", "y"), tuple(params or ()))
     value = ex.compile((e,))
     env = dict(params or {})
     xs, ys = grid.xs(), grid.ys()
-    vals = np.empty((grid.ny, grid.nx))
     step = max(1, _BLOCK // grid.nx)
     for j in range(0, grid.ny, step):
         env["x"], env["y"] = np.meshgrid(xs, ys[j:j + step])
-        vals[j:j + step] = value(env, 0.0)[0]
+        yield j, _full(value(env, 0.0)[0], env["x"].shape)
+
+
+def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
+    """Pointwise evaluation of an expression in x, y over the grid."""
+    vals = np.empty((grid.ny, grid.nx))
+    for j, block in _sample_blocks(e, grid, params):
+        vals[j:j + len(block)] = block
     return Field(grid, vals)
+
+
+def sup_error(e, v: Field, params: Optional[dict] = None) -> float:
+    """max |v - e| over the grid for a finite field v and a reference
+    expression e in x, y, one block of _sample_blocks at a time, so that no
+    array of the grid's size is built.  A failure raises from its lowest
+    block; a non-finite value of e raises, naming its lowest node, once
+    every block has been evaluated."""
+    grid, worst, bad = v.grid, 0.0, None
+    for j, block in _sample_blocks(e, grid, params):
+        d = np.abs(v.values[j:j + len(block)] - block).max()
+        if np.isfinite(d):
+            worst = max(worst, d)
+        elif bad is None:
+            r, i = np.argwhere(~np.isfinite(block))[0]
+            bad = j + r, i, float(block[r, i])
+    if bad is not None:
+        j, i, value = bad
+        raise ValueError(f"the reference is {value!r} at node i={i}, j={j}, "
+                         f"(x, y) = ({float(grid.xs()[i])!r}, {float(grid.ys()[j])!r})")
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +632,7 @@ _HEADER_RE = re.compile(
     r"x0=(\S+) x1=(\S+) y0=(\S+) y1=(\S+)$"
 )
 _RECORD = struct.Struct("=i")  # a block index on the queue; -1 stops its reader
+_FRAME = struct.Struct("=iQ")  # a block index and its text's length, ahead of the text
 _QUEUE = select.PIPE_BUF // _RECORD.size  # records the queue is ever given
 _BLOCK = 1 << 14  # values per block, over which one _format_rows call spreads its overhead
 
@@ -622,10 +654,12 @@ class FieldRows:
     from a queue, a pipe of 4-byte records, and formats those blocks;
     post(stop) queues the blocks of the rows below `stop` once they are
     final.  commit() formats what is left here, claiming from the same
-    queue, and writes the blocks in order.  The last block is never
-    queued, so that this process formats at least one.  Leaving the `with`
-    block without a commit kills and reaps every child; a child whose
-    queue closes because this process died exits at once.
+    queue, and writes the blocks in order: each child, once stopped,
+    sends its blocks in ascending order as frames (_FRAME, then the text)
+    on a pipe of its own, and each block is dropped once written.  The
+    last block is never queued, so that this process formats at least
+    one.  Leaving the `with` block without a commit kills and reaps every
+    child; a child whose queue closes because this process died exits at once.
     """
 
     def __init__(self, grid: Grid):
@@ -667,7 +701,11 @@ class FieldRows:
             self._posted = stop
 
     def commit(self, path: str) -> None:
-        """Write every row to `path`, through a sibling .tmp file."""
+        """Write every row to `path`, through a sibling .tmp file, one block
+        at a time in order.  A block is dropped once it is written: this
+        process holds only the blocks it claimed from the queue until the
+        children's streams reach them, and formats the blocks post kept back
+        as each is next."""
         grid = self.grid
         tmp = path + ".tmp"
         try:
@@ -675,9 +713,6 @@ class FieldRows:
                 fh.write((f"# grid nx={grid.nx} ny={grid.ny} x0={grid.x0!r} x1={grid.x1!r} "
                           f"y0={grid.y0!r} y1={grid.y1!r}\n").encode())
                 self.post(grid.ny)
-                blocks = [None] * self._blocks
-                for k in range(self._posted, self._blocks):  # the blocks post kept back
-                    blocks[k] = self._format(k)
                 os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
                 # each child claims before this process does, so that every
                 # child gets a block where one is queued for it and a failing
@@ -685,21 +720,49 @@ class FieldRows:
                 # 7 rows by two children did not)
                 for _pid, pipe in self._children:
                     pipe.read(1)
+                own = {}
                 while (k := _claim(self._claims)) >= 0:
-                    blocks[k] = self._format(k)
-                for _pid, pipe in self._children:
-                    # read as it is unpickled, so that the text is held once;
-                    # a child that failed sent nothing whole, and _reap says why
-                    with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                        for k, text in pickle.load(pipe):
-                            blocks[k] = text
+                    own[k] = self._format(k)
+                written = self._merge(fh, own)
                 _reap(self._children)
-                fh.writelines(blocks)
+                if written < self._blocks:
+                    raise OSError(f"CSV row formatter sent no block {written}")
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
             raise
         os.replace(tmp, path)
+
+    def _merge(self, fh, own: dict) -> int:
+        """Write the blocks to `fh` in order until one is missing, and return
+        how many were written.  Each child sends its blocks in ascending
+        order, so the next block is in `own`, kept back by post, or at the
+        head of a child's stream; a stream that ends early ends the merge."""
+        heads = {}  # the block at the head of each child's stream: (pipe, text length)
+
+        def advance(pipe):
+            frame = pipe.read(_FRAME.size)
+            if len(frame) == _FRAME.size:
+                k, n = _FRAME.unpack(frame)
+                heads[k] = pipe, n
+
+        for _pid, pipe in self._children:
+            advance(pipe)
+        for k in range(self._blocks):
+            if k in heads:
+                pipe, n = heads.pop(k)
+                text = pipe.read(n)
+                if len(text) < n:
+                    return k
+                advance(pipe)
+            elif k in own:
+                text = own.pop(k)
+            elif k >= self._posted:
+                text = self._format(k)
+            else:
+                return k
+            fh.write(text)
+        return self._blocks
 
     def _format(self, k: int) -> bytes:
         return _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
@@ -729,7 +792,9 @@ class FieldRows:
                     claimed.append((k, self._format(k)))
                     k = _claim(self._claims)
                 with open(write_fd, "wb") as pipe:
-                    pickle.dump(claimed, pipe, pickle.HIGHEST_PROTOCOL)
+                    for k, text in claimed:
+                        pipe.write(_FRAME.pack(k, len(text)))
+                        pipe.write(text)
                 status = 0
             finally:
                 os._exit(status)

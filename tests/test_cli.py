@@ -504,18 +504,29 @@ class TestPropagateCommand:
         assert field.grid == pp.Grid(41, 41, 0.0, 2.0, 0.0, 2.0)
         assert abs(field.values[0, 0] - math.pi) < 1e-12
 
-    def test_reference_arrays_freed_before_the_write(self, tmp_path, capsys, monkeypatch):
-        # v lives in the rows' shared memory, which tracemalloc does not see;
-        # the reference field and |v - expected| must be gone by the write
+    def test_reference_and_write_stay_below_one_mesh_array(self, tmp_path, capsys, monkeypatch):
+        # v lives in the rows' shared memory, which tracemalloc does not see.
+        # The reference is compared with v one block of rows at a time, and
+        # on one CPU this process writes each block as it formats it, so the
+        # traced peak stays below one mesh array (children: TestFieldRows).  Blocks of about 1,024 values keep one
+        # block's evaluation and formatting temporaries well below it: at the
+        # default 16,384 the formatter's alone are about 3.8 MB
+        monkeypatch.setattr(pp, "_BLOCK", 1 << 10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         grid = pp.Grid(401, 401, 0.0, 2.0, 0.0, 2.0)
-        traced = []
-        write = pp.write_field_csv
+        peaks = {}
 
-        def spy(*args):
-            traced.append(tracemalloc.get_traced_memory()[0])
-            return write(*args)
+        def traced(name, fn):
+            def spy(*args):
+                tracemalloc.reset_peak()
+                try:
+                    return fn(*args)
+                finally:
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+            return spy
 
-        monkeypatch.setattr(pp, "write_field_csv", spy)
+        for name in ("sup_error", "write_field_csv"):
+            monkeypatch.setattr(pp, name, traced(name, getattr(pp, name)))
         tracemalloc.start()
         try:
             code, report = run(
@@ -524,12 +535,13 @@ class TestPropagateCommand:
                 "--domain", "0,2,0,2", "--out", str(tmp_path / "v.csv"),
                 "--reference", "4*atan(exp(-lam*x - y/lam))",
             )
+            whole = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
         assert report["sup_error"] < 1e-6
-        assert len(traced) == 1
-        assert traced[0] < 8 * grid.nx * grid.ny
+        assert sorted(peaks) == ["sup_error", "write_field_csv"]
+        assert max(peaks["sup_error"], peaks["write_field_csv"], whole) < 8 * grid.nx * grid.ny
 
     def test_ranged_parameter_is_runtime_error(self, tmp_path, capsys):
         text = SG_DEF.replace("lam = 1.0", "lam = [0.5, 2]")
@@ -673,11 +685,22 @@ class TestPropagateAbort:
         assert captured.out == ""
         assert captured.err == "edsbt: sqrt of a negative\n"
 
+    def test_reference_that_overflows(self, tmp_path, capsys, forks):
+        # exp(1000*x) overflows from x = 0.725 on: the message names the
+        # reference and its lowest non-finite node
+        code, captured = self.propagate(tmp_path, capsys, SG_DEF, "--grid", "41,41",
+                                        "--domain", "0,1,0,1", "--reference", "exp(1000*x)")
+        assert code == 1
+        assert len(forks) == 2
+        assert captured.out == ""
+        assert captured.err == ("edsbt: the reference is inf at node i=29, j=0, "
+                                "(x, y) = (0.7250000000000001, 0.0)\n")
+
     def test_interrupt(self, tmp_path, capsys, monkeypatch, forks):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pp, "sample_field", interrupted)
+        monkeypatch.setattr(pp, "sup_error", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.propagate(tmp_path, capsys, SG_DEF, "--grid", "9,9", "--domain", "0,1,0,1",
                            "--reference", "0")

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,42 @@ class TestSampleField:
         X, Y = grid.mesh()
         want = ex.evaluate(ex.parse(text, ("x", "y"), ("a",)), {"a": 0.7, "x": X, "y": Y})
         assert np.array_equal(pp.sample_field(text, grid, params={"a": 0.7}).values, want)
+
+
+class TestSupError:
+    """sup_error folds max |v - e| block by block, to the whole mesh's value."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+    @pytest.mark.parametrize("text", ["4*atan(exp(-lam*x - y/lam)) + x*y^3/1000", "lam", "0"])
+    def test_bitwise_the_mesh_value(self, monkeypatch, sg_bt, text, block):
+        grid = pp.Grid(23, 17, 0.0, 1.0, -0.5, 1.0)
+        v = pp.bt_propagate(sg_bt, "0", math.pi, grid).v
+        params = {"lam": 1.0}
+        want = np.max(np.abs(v.values - pp.sample_field(text, grid, params).values))
+        monkeypatch.setattr(pp, "_BLOCK", block)
+        got = pp.sup_error(text, v, params)
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("text, message", [
+        ("exp(1000*x)", r"inf at node i=3, j=0, \(x, y\) = \(0\.75, 0\.0\)"),
+        ("exp(1000*y) - 3*exp(999*y)", r"nan at node i=0, j=6, \(x, y\) = \(0\.0, 0\.75\)"),
+    ])
+    def test_non_finite_reference_names_its_lowest_node(self, monkeypatch, text, message):
+        monkeypatch.setattr(pp, "_BLOCK", 10)  # two rows of five per block
+        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^the reference is {message}$"):
+                pp.sup_error(text, pp.Field(grid, np.zeros((9, 5))))
+
+    def test_a_failing_block_outranks_a_lower_non_finite_one(self, monkeypatch):
+        # exp overflows on the first rows and sqrt fails from y = 0.625 on:
+        # the non-finite values are reported only once every block is evaluated
+        monkeypatch.setattr(pp, "_BLOCK", 10)
+        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+                pp.sup_error("exp(1000*(1 - y)) + sqrt(0.5 - y)", pp.Field(grid, np.zeros((9, 5))))
 
 
 class TestBTPropagate:
@@ -1032,6 +1069,95 @@ class TestFieldRows:
         with pytest.raises(OSError):
             pp.write_field_csv(field, path)
         assert len(forks) == 2
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".tmp")
+        assert_no_child_left()
+
+    def test_commit_holds_less_than_the_file(self, tmp_path, monkeypatch, forks, sg_bt):
+        # a slow parent leaves most blocks to the child, which sends them back
+        # block by block; each is written once it is next and then dropped,
+        # so the text this process holds in commit stays below the file's.
+        # Blocks of three rows make the file many blocks long against one
+        # block's formatting temporaries
+        parent = os.getpid()
+        format_rows = pp._format_rows
+        in_parent = []
+
+        def slow(block):
+            if os.getpid() == parent:
+                time.sleep(0.01)
+                in_parent.append(len(block))
+            return format_rows(block)
+
+        commit = pp.FieldRows.commit
+        peaks = []
+
+        def traced(rows, path):
+            tracemalloc.start()
+            try:
+                commit(rows, path)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(pp, "_format_rows", slow)
+        monkeypatch.setattr(pp, "_BLOCK", 64)
+        monkeypatch.setattr(pp.FieldRows, "commit", traced)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = pp.Grid(31, 401, 0.0, 2.0, 0.0, 1.0)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid) as rows:
+            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            assert rows._blocks > 100
+            pp.write_field_csv(res.v, path, rows)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert in_parent
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(res.v)
+        assert len(peaks) == 1 and peaks[0] < os.path.getsize(path)
+
+    @pytest.mark.parametrize("death", ["killed", "exit status 0"])
+    def test_child_dying_mid_stream_fails_the_write(self, tmp_path, monkeypatch, forks, death):
+        # the child dies as it frames its third block, once this process has
+        # read its first frames; a short frame ends the merge, whatever the
+        # child's exit status
+        parent = os.getpid()
+        format_rows = pp._format_rows
+        frame = pp._FRAME
+        sent, received = [], []
+
+        class Dying:
+            size = frame.size
+
+            def pack(self, k, n):
+                if len(sent) == 2:
+                    if death == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    os._exit(0)
+                sent.append(k)
+                return frame.pack(k, n)
+
+            def unpack(self, data):
+                received.append(frame.unpack(data))
+                return received[-1]
+
+        def slow_parent(block):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_FRAME", Dying())
+        monkeypatch.setattr(pp, "_format_rows", slow_parent)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(7)
+        field = pp.Field(pp.Grid(4000, 37, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(37, 4000)))
+        path = str(tmp_path / "f.csv")
+        match = "CSV row formatter failed" if death == "killed" else "sent no block"
+        with pytest.raises(OSError, match=match):
+            pp.write_field_csv(field, path)
+        assert len(forks) == 1
+        assert len(received) >= 2
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
         assert_no_child_left()
