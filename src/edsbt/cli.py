@@ -23,7 +23,6 @@ whenever the classification itself succeeds.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -271,8 +270,17 @@ def _coefficient_form(chart: fm.Chart, coeffs: list):
 
 
 def _digest(path: str) -> str:
+    # CPython's builtin sha256 where there is one: hashlib loads OpenSSL,
+    # about 3.6 MB of every process (random.py takes sha512 the same way)
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        return "sha256:" + sha256(fh.read()).hexdigest()
 
 
 class _Runner:
@@ -534,7 +542,7 @@ def cmd_propagate(runner: _Runner) -> None:
         reference = _xy_expr(args.reference, chart, "--reference")
     bt = runner.build_bt()
     grid = _grid_from_args(args)
-    with pp.FieldRows(grid) as rows:  # formats v's rows while they are computed
+    with pp.FieldRows(grid, args.out) as rows:  # writes v's rows as they are computed
         try:
             result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows)
             if args.reference is not None:

@@ -20,11 +20,12 @@ vanishes to discretization accuracy exactly when the seed solves its PDE.
 
 The march can fill a FieldRows, whose forked children take blocks of
 final rows of v from a queue that never fills and format them as CSV
-text while the march and the residual run.  At the write each child
-sends its blocks back one framed block at a time, and the file is
-written in order as they arrive, so this process never holds the whole
-text.  The text is repr's, found exactly for a whole block at once from
-half an ulp either side of each value.  A reference solution is compared
+text while the march and the residual run.  Every process that formats
+a block enters its length in a shared table and writes it into the
+output file at its offset once the lengths before it are known, so no
+process holds more than the blocks still waiting for those lengths.
+The text is repr's, found exactly for a whole block at once from half
+an ulp either side of each value.  A reference solution is compared
 with v one block of rows at a time (sup_error).
 """
 
@@ -632,7 +633,6 @@ _HEADER_RE = re.compile(
     r"x0=(\S+) x1=(\S+) y0=(\S+) y1=(\S+)$"
 )
 _RECORD = struct.Struct("=i")  # a block index on the queue; -1 stops its reader
-_FRAME = struct.Struct("=iQ")  # a block index and its text's length, ahead of the text
 _QUEUE = select.PIPE_BUF // _RECORD.size  # records the queue is ever given
 _BLOCK = 1 << 14  # values per block, over which one _format_rows call spreads its overhead
 
@@ -646,33 +646,48 @@ def _block_rows(ny: int, nx: int, readers: int) -> int:
 
 
 class FieldRows:
-    """The CSV rows of a grid function, formatted as soon as each is final.
+    """The CSV file of a grid function, each block of rows formatted as
+    soon as it is final and written at its place in the file.
 
     `values` is an (ny, nx) array in shared memory, cut into blocks of
-    consecutive rows (see _block_rows).  One forked child per further
-    CPU this process may run on (at most one per row) claims block indices
-    from a queue, a pipe of 4-byte records, and formats those blocks;
-    post(stop) queues the blocks of the rows below `stop` once they are
-    final.  commit() formats what is left here, claiming from the same
-    queue, and writes the blocks in order: each child, once stopped,
-    sends its blocks in ascending order as frames (_FRAME, then the text)
-    on a pipe of its own, and each block is dropped once written.  The
-    last block is never queued, so that this process formats at least
-    one.  Leaving the `with` block without a commit kills and reaps every
-    child; a child whose queue closes because this process died exits at once.
+    consecutive rows (see _block_rows).  `path` + ".tmp" is opened and
+    its header written before one child is forked per further CPU this
+    process may run on (at most one per row).  The children claim block
+    indices from a queue, a pipe of 4-byte records; post(stop) queues the
+    blocks of the rows below `stop` once they are final, and commit()
+    formats what is left here.  Whoever formats a block enters its
+    length in a shared table, -1 until then, and writes the block at the
+    header's length plus the lengths before it once those are all known,
+    holding it until then (_write_held).  Only queue records and single
+    signal bytes cross a pipe.  The last block is never queued, so that
+    this process formats at least one.  Leaving the `with` block without
+    a commit kills and reaps every child and removes the .tmp; a child
+    whose queue closes because this process died exits at once.
     """
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
+    def __init__(self, grid: Grid, path: str):
+        self.grid, self.path, self._tmp = grid, path, path + ".tmp"
         self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
         self._posted = 0  # blocks below this are on the queue
         affinity = getattr(os, "sched_getaffinity", None)
         readers = min(len(affinity(0)), grid.ny, _QUEUE - 1) if affinity else 1
         self._rows = _block_rows(grid.ny, grid.nx, readers)
         self._blocks = -(-grid.ny // self._rows)
-        self._claims, self._queue = os.pipe()
-        self._children = []  # (pid, read end of the pipe its blocks come back on)
+        # per block, in shared memory: its text's length, -1 until it is
+        # formatted, and whether it is written
+        self._lengths = np.frombuffer(mmap.mmap(-1, 8 * self._blocks), np.int64)
+        self._lengths[:] = -1
+        self._written = np.frombuffer(mmap.mmap(-1, self._blocks), np.bool_)
+        self._children = []  # (pid, read end of the pipe it reports on)
+        self._claims = self._queue = self._wait = self._go = -1
+        self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
+            header = (f"# grid nx={grid.nx} ny={grid.ny} x0={grid.x0!r} x1={grid.x1!r} "
+                      f"y0={grid.y0!r} y1={grid.y1!r}\n").encode()
+            _pwrite(self._fd, header, 0)
+            self._start = len(header)
+            self._claims, self._queue = os.pipe()
+            self._wait, self._go = os.pipe()  # a byte on it lets a stopped child write the rest
             for _ in range(readers - 1):
                 self._children.append(self._fork())
         except BaseException:
@@ -686,12 +701,17 @@ class FieldRows:
         self.close()
 
     def close(self) -> None:
-        """Kill and reap every child still running, and close the queue."""
+        """Kill and reap every child still running, close the queue and the
+        file, and remove the .tmp unless commit renamed it."""
         _reap(self._children, kill=True)
-        for fd in (self._claims, self._queue):
+        for fd in (self._claims, self._queue, self._wait, self._go, self._fd):
             if fd >= 0:
                 os.close(fd)
-        self._claims = self._queue = -1
+        self._claims = self._queue = self._wait = self._go = self._fd = -1
+        if self._tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._tmp)
+            self._tmp = None
 
     def post(self, stop: int) -> None:
         """Queue the blocks of the rows below `stop` but the last block."""
@@ -700,106 +720,89 @@ class FieldRows:
             os.write(self._queue, struct.pack(f"={stop - self._posted}i", *range(self._posted, stop)))
             self._posted = stop
 
-    def commit(self, path: str) -> None:
-        """Write every row to `path`, through a sibling .tmp file, one block
-        at a time in order.  A block is dropped once it is written: this
-        process holds only the blocks it claimed from the queue until the
-        children's streams reach them, and formats the blocks post kept back
-        as each is next."""
-        grid = self.grid
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write((f"# grid nx={grid.nx} ny={grid.ny} x0={grid.x0!r} x1={grid.x1!r} "
-                          f"y0={grid.y0!r} y1={grid.y1!r}\n").encode())
-                self.post(grid.ny)
-                os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
-                # each child claims before this process does, so that every
-                # child gets a block where one is queued for it and a failing
-                # child fails the write (without the wait, 6 of 300 writes of
-                # 7 rows by two children did not)
-                for _pid, pipe in self._children:
-                    pipe.read(1)
-                own = {}
-                while (k := _claim(self._claims)) >= 0:
-                    own[k] = self._format(k)
-                written = self._merge(fh, own)
-                _reap(self._children)
-                if written < self._blocks:
-                    raise OSError(f"CSV row formatter sent no block {written}")
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
-        os.replace(tmp, path)
+    def commit(self) -> None:
+        """Format the blocks left to this process, let every child write the
+        blocks it still holds, and rename the .tmp to `path`.  Each child,
+        at its stop record, reports that its lengths are in and waits for
+        one byte on the go pipe, sent once this process has formatted its
+        share and every child has reported.  The rename comes only once
+        every child has exited 0 and every block is marked written."""
+        self.post(self.grid.ny)
+        os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
+        # each child claims before this process does, so that every child
+        # gets a block where one is queued for it and a failing child fails
+        # the write (without the wait, 6 of 300 writes of 7 rows by two
+        # children did not)
+        for _pid, report in self._children:
+            os.read(report, 1)
+        held = {}
+        while (k := _claim(self._claims)) >= 0:
+            self._take(k, held)
+        for k in range(self._posted, self._blocks):  # never queued
+            self._take(k, held)
+        for _pid, report in self._children:
+            os.read(report, 1)  # its lengths are in, or it is gone
+        self._write_held(held)
+        os.write(self._go, b"\0" * len(self._children))
+        _reap(self._children)
+        unwritten = np.flatnonzero(~self._written)
+        if unwritten.size:
+            raise OSError(f"no CSV row formatter wrote block {unwritten[0]}")
+        os.replace(self._tmp, self.path)
+        self._tmp = None
 
-    def _merge(self, fh, own: dict) -> int:
-        """Write the blocks to `fh` in order until one is missing, and return
-        how many were written.  Each child sends its blocks in ascending
-        order, so the next block is in `own`, kept back by post, or at the
-        head of a child's stream; a stream that ends early ends the merge."""
-        heads = {}  # the block at the head of each child's stream: (pipe, text length)
+    def _take(self, k: int, held: dict) -> None:
+        """Format block k, enter its length, and write every held block
+        whose place is known."""
+        text = _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
+        self._lengths[k] = len(text)
+        held[k] = text
+        self._write_held(held)
 
-        def advance(pipe):
-            frame = pipe.read(_FRAME.size)
-            if len(frame) == _FRAME.size:
-                k, n = _FRAME.unpack(frame)
-                heads[k] = pipe, n
+    def _write_held(self, held: dict) -> None:
+        """Write each block of `held` (index -> text) whose predecessors'
+        lengths are all known, at the header's length plus their sum, and
+        drop it."""
+        for k in sorted(held):
+            before = self._lengths[:k]
+            if k and before.min() < 0:
+                return
+            _pwrite(self._fd, held.pop(k), self._start + int(before.sum()))
+            self._written[k] = True
 
-        for _pid, pipe in self._children:
-            advance(pipe)
-        for k in range(self._blocks):
-            if k in heads:
-                pipe, n = heads.pop(k)
-                text = pipe.read(n)
-                if len(text) < n:
-                    return k
-                advance(pipe)
-            elif k in own:
-                text = own.pop(k)
-            elif k >= self._posted:
-                text = self._format(k)
-            else:
-                return k
-            fh.write(text)
-        return self._blocks
-
-    def _format(self, k: int) -> bytes:
-        return _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
-
-    def _fork(self):
-        """Fork a formatter child; returns (pid, read end of its pipe).  The
-        child leaves through os._exit on every path, so it never returns
-        into the caller and runs no exit handlers."""
-        read_fd, write_fd = os.pipe()
+    def _fork(self) -> tuple:
+        """Fork a formatter child; returns (pid, read end of the pipe it
+        reports on).  The child leaves through os._exit on every path, so
+        it never returns into the caller and runs no exit handlers."""
+        report, write_fd = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(read_fd)
+            os.close(report)
             os.close(write_fd)
             raise
         if pid == 0:
             status = 1
             try:
-                os.close(self._queue)  # so that the queue closes when the parent dies
-                os.close(read_fd)
-                for _pid, pipe in self._children:
-                    pipe.close()
-                claimed = []
+                # so that the queue and the go pipe close when the parent dies
+                for fd in (self._queue, self._go, report):
+                    os.close(fd)
+                for _pid, fd in self._children:
+                    os.close(fd)
+                held = {}
                 k = _claim(self._claims)
                 os.write(write_fd, b"\0")  # the first claim is made
                 while k >= 0:
-                    claimed.append((k, self._format(k)))
+                    self._take(k, held)
                     k = _claim(self._claims)
-                with open(write_fd, "wb") as pipe:
-                    for k, text in claimed:
-                        pipe.write(_FRAME.pack(k, len(text)))
-                        pipe.write(text)
-                status = 0
+                os.write(write_fd, b"\0")  # every length of its blocks is in
+                if os.read(self._wait, 1):
+                    self._write_held(held)
+                    status = 0
             finally:
                 os._exit(status)
         os.close(write_fd)
-        return pid, open(read_fd, "rb")
+        return pid, report
 
 
 def _claim(queue: int) -> int:
@@ -808,28 +811,35 @@ def _claim(queue: int) -> int:
     return _RECORD.unpack(os.read(queue, _RECORD.size))[0]
 
 
+def _pwrite(fd: int, data: bytes, offset: int) -> None:
+    """os.pwrite, raising OSError on a short write."""
+    if os.pwrite(fd, data, offset) != len(data):
+        raise OSError(f"short write of the CSV at byte {offset}")
+
+
 def write_field_csv(fieldobj: Field, path: str, rows: Optional[FieldRows] = None) -> None:
     """Serialize a field; singular nodes become `nan`.
 
-    `rows`, when given, is the FieldRows the field was marched into, whose
-    children have formatted blocks of rows since the march finished them;
-    without it every row is ready at once.  Either way this process
-    formats blocks with the children until none is left, and every child
-    has exited and been reaped before this returns.  The bytes depend
-    neither on the CPU count nor on which process formatted a block.
+    `rows`, when given, is the FieldRows for `path` that the field was
+    marched into, whose children have formatted and written blocks of rows
+    since the march finished them; without it every row is ready at once.
+    Either way this process formats blocks with the children until none is
+    left, and every child has exited and been reaped before this returns.
+    The bytes depend neither on the CPU count nor on which process
+    formatted a block.
 
     Writing is atomic: the content lands in a sibling temp file first,
     which is removed if any row fails.
     """
     if rows is None:
-        rows = FieldRows(fieldobj.grid)
+        rows = FieldRows(fieldobj.grid, path)
         rows.values[...] = fieldobj.values
         if fieldobj.singular is not None:
             rows.values[fieldobj.singular] = np.nan
-    elif fieldobj.values is not rows.values or fieldobj.singular is not None:
-        raise ValueError("the field does not hold the rows' values")
+    elif fieldobj.values is not rows.values or fieldobj.singular is not None or path != rows.path:
+        raise ValueError("the field does not hold the rows' values for this path")
     with rows:
-        rows.commit(path)
+        rows.commit()
 
 
 # ---------------------------------------------------------------------------
@@ -886,33 +896,45 @@ def _shortest(a):
     p = 16 - np.floor(np.log10(a)).astype(np.intp)
     hi = a * _POW10[p]
     p += (hi < 1e16).view(np.int8) - (hi >= 1e17).view(np.int8)
+    del hi  # each array is released once dead: a block's peak is their sum
     b = _POW10[p]
     bh, bl = _POW10_SPLIT[0][p], _POW10_SPLIT[1][p]
     ah, al = _split(a)
     hi = a * b
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    del ah, al, bh, bl
     # the integers [A, B] of the rounding interval, half an ulp h either
     # side of N; _format_rows says why that is enough on its range
     h = (a.view(np.uint64) & np.uint64(0x7FF << 52)).view(float) * (b * 2.0**-53)
+    del b
     ok = (hi >= 1e16) & (hi < 1e17)
     hint = hi.astype(np.int64)
+    del hi
     A = hint + np.ceil(lo - h).astype(np.int64)
     B = hint + np.floor(lo + h).astype(np.int64)
+    del h
     # the largest t with a multiple of 10**t in [A, B]: as B - A < 100, t > 1
     # only where B % 100 <= B - A, and then the digits of B above are zeros
     w = B - A
-    q1, q2 = B // 10, B // 100
-    t = (B - 10 * q1 <= w).astype(np.intp) + (B - 100 * q2 <= w)
+    t = (B - 10 * (B // 10) <= w).astype(np.intp)
+    q2 = B // 100
+    t += B - 100 * q2 <= w
+    del w
     more = np.flatnonzero(t == 2)
     t[more] += _trailing_zeros(q2[more])
+    del q2, more
     # of those multiples, the one closest to N; an exact tie is not proven
     fl = np.floor(lo)
     n0 = hint + fl.astype(np.int64)
+    del hint
     pw = _INT10[t]
     d = n0 % pw
     down = n0 - d
+    del n0
     in_down, in_up = down >= A, down + pw <= B
+    del A, B
     key = 2 * (d + (lo - fl)) - pw
+    del d, lo, fl
     ok &= ~(in_down & in_up & (key == 0))
     c = down + pw * (~in_down | (in_up & (key > 0)))
     ok &= (c >= 10**16) & (c < 10**17)
@@ -942,13 +964,16 @@ def _format_rows(block: np.ndarray) -> bytes:
     fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0
     c, p, t, ok = _shortest(a)
+    del a
     fast &= ok
+    del ok
     pf = np.minimum(p, 17)
     whole = c // _INT10[pf]
     frac = (c - whole * _INT10[pf]) * _INT10[17 - pf]  # the digits after the zeros
     zeros = np.where(fast, p - pf, 4)
     intd = np.maximum(17 - p, 1) * fast  # integer digits shown
     fd = np.maximum(pf - t, 1) * fast  # digits shown after the point and zeros
+    del c, p, t, pf
     # each value's text in one record, NUL where no character is shown: the
     # sign, the integer digits in groups of four, the point and zeros, the
     # other digits, the separator; a field no value of the block shows is left out
@@ -956,22 +981,30 @@ def _format_rows(block: np.ndarray) -> bytes:
     negative = fast & (x < 0)
     if negative.any():
         fields.append(("sign", negative.view(np.uint8) * np.uint8(ord("-"))))
+    del negative
     for k in range(12, -1, -4):
         if intd.max() > k:
             fields.append((f"i{k}", _DIGITS4[_group(whole, k)] & _LAST[np.clip(intd - k, 0, 4)]))
+    del whole, intd
     fields.append(("point", _POINT[zeros] if np.any(zeros) else fast.view(np.uint8) * np.uint8(ord("."))))
+    del zeros
     fields.append(("f", ((ord("0") + frac // 10**16) * fast).astype(np.uint8)))
     for k in range(1, 17, 4):
         if fd.max() > k:
             group = _group(frac, 13 - k)  # digits k to k + 3 of the 17
             fields.append((f"f{k}", _DIGITS4[group] & _FIRST[np.clip(fd - k, 0, 4)]))
+            del group
+    del frac, fd
     fields.append(("sep", np.full(x.size, ord(","), np.uint8)))
     fields[-1][1][nx - 1::nx] = ord("\n")
     text = np.empty(x.size, [(name, f"<u{values.itemsize}") for name, values in fields])
     for name, values in fields:
         text[name] = values
+    del fields, values
     shown = text.view(np.uint8) != 0
-    out = text.view(np.uint8)[shown].tobytes()
+    out = text.view(np.uint8)[shown]
+    del text
+    out = out.tobytes()
     if fast.all():
         return out
     # repr's text goes before the separator, the only character of its record
@@ -990,8 +1023,8 @@ def _reap(children: list, kill: bool = False) -> None:
     `kill`); raise OSError if one did not exit with status 0."""
     failed = []
     while children:
-        pid, pipe = children.pop(0)
-        pipe.close()
+        pid, report = children.pop(0)
+        os.close(report)
         if kill:
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)

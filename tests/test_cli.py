@@ -7,12 +7,14 @@ captured as the report channel.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,6 +364,32 @@ class TestCheckCommand:
         assert rec["status"] == "fail"
         assert rec["witness"]
 
+    @pytest.mark.parametrize("content", [b"", SG_DEF.encode(), bytes(range(256)) * 4099],
+                             ids=["empty", "bt", "binary"])
+    def test_input_digest_is_sha256(self, tmp_path, content):
+        path = tmp_path / "input.def"
+        path.write_bytes(content)
+        assert cli._digest(str(path)) == "sha256:" + hashlib.sha256(content).hexdigest()
+
+    def test_digest_loads_no_openssl(self, tmp_path):
+        # hashlib loads OpenSSL (_hashlib), about 3.6 MB of every process;
+        # the digest comes from CPython's builtin sha256 where there is one
+        if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+            pytest.skip("this Python has no builtin sha256 module")
+        script = ("import contextlib, io, sys\n"
+                  "import edsbt.cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = edsbt.cli.main(sys.argv[1:])\n"
+                  "print(code, '_hashlib' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "check", write_def(tmp_path, SG_DEF), "--samples", "8"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
+
 
 class TestClassifyCommand:
     def test_default_candidates(self, tmp_path, capsys):
@@ -510,7 +538,7 @@ class TestPropagateCommand:
         # on one CPU this process writes each block as it formats it, so the
         # traced peak stays below one mesh array (children: TestFieldRows).  Blocks of about 1,024 values keep one
         # block's evaluation and formatting temporaries well below it: at the
-        # default 16,384 the formatter's alone are about 3.8 MB
+        # default 16,384 the formatter's alone are about 1.5 MB
         monkeypatch.setattr(pp, "_BLOCK", 1 << 10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         grid = pp.Grid(401, 401, 0.0, 2.0, 0.0, 2.0)
@@ -628,9 +656,18 @@ class TestPropagateAbort:
         return pids
 
     def propagate(self, tmp_path, capsys, text, *flags):
-        code = cli.main(["propagate", write_def(tmp_path, text), "--v0", "1", "--seed-u", "0",
-                         "--out", str(tmp_path / "v.csv"), *flags])
+        # the .tmp is open from before the march, and gone once it fails
+        march, tmp_in_march = pp.bt_propagate, []
+
+        def marching(*args, **kwargs):
+            tmp_in_march.append((tmp_path / "v.csv.tmp").exists())
+            return march(*args, **kwargs)
+
+        with mock.patch.object(pp, "bt_propagate", marching):
+            code = cli.main(["propagate", write_def(tmp_path, text), "--v0", "1", "--seed-u", "0",
+                             "--out", str(tmp_path / "v.csv"), *flags])
         captured = capsys.readouterr()
+        assert tmp_in_march == [True]
         assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]  # no file, no .tmp
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -710,12 +747,13 @@ class TestPropagateAbort:
         assert len(forks) == 2
 
     def test_unwritable_out(self, tmp_path, capsys, forks):
+        # the .tmp is opened before the children are forked and the march runs
         out = tmp_path / "missing" / "v.csv"
         code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--v0", "1", "--seed-u", "0",
                          "--grid", "9,9", "--domain", "0,1,0,1", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
-        assert len(forks) == 2
+        assert forks == []
         assert captured.out == ""
         assert captured.err == f"edsbt: [Errno 2] No such file or directory: '{out}.tmp'\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]

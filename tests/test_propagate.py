@@ -8,6 +8,7 @@ exactly the ODE system the marcher integrates, and v(0, 0) = pi.
 
 import builtins
 import math
+import mmap
 import os
 import select
 import signal
@@ -779,6 +780,21 @@ class TestFormatRows:
         assert pp._format_rows(row) == repr_rows(row)
         assert len(fallbacks) == 2
 
+    def test_traced_peak_per_value(self):
+        # a block's temporaries, each released once dead: about 92 bytes a
+        # value here (210 while every array lived to the end of its
+        # function), against about 19 bytes of text
+        block = np.random.default_rng(0).uniform(-7, 7, size=(10, 1601))
+        pp._format_rows(block)  # numpy's own caches are filled
+        tracemalloc.start()
+        try:
+            text = pp._format_rows(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == repr_rows(block)
+        assert peak < 100 * block.size
+
     def test_workload_values_need_no_repr(self, fallbacks, sg_bt):
         rng = np.random.default_rng(3)
         integers = np.concatenate([
@@ -944,7 +960,7 @@ class TestFieldRows:
         grid = pp.Grid(31, 21, 0.0, 2.0, 0.0, 1.0)
         plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
         path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid) as rows:
+        with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             assert len(forks) == cpus - 1
             pp.write_field_csv(res.v, path, rows)
@@ -972,7 +988,7 @@ class TestFieldRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(31, 41, 0.0, 2.0, 0.0, 1.0)
         path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid) as rows:
+        with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             pp.write_field_csv(res.v, path, rows)
         assert len(forks) == 1
@@ -997,7 +1013,7 @@ class TestFieldRows:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(2000, 23, 0.0, 2.0, 0.0, 1.0)
         path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid) as rows:
+        with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             pp.write_field_csv(res.v, path, rows)
         assert len(forks) == 1
@@ -1046,9 +1062,11 @@ class TestFieldRows:
     def test_field_outside_the_rows_rejected(self, tmp_path, sg_bt):
         grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
         path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid) as rows:
+        with pp.FieldRows(grid, path) as rows:
             with pytest.raises(ValueError):
                 pp.write_field_csv(pp.Field(grid, np.zeros((5, 5))), path, rows)
+            with pytest.raises(ValueError):
+                pp.write_field_csv(pp.Field(grid, rows.values), path + "2", rows)
         assert not os.path.exists(path)
         assert_no_child_left()
 
@@ -1074,39 +1092,45 @@ class TestFieldRows:
         assert_no_child_left()
 
     def test_commit_holds_less_than_the_file(self, tmp_path, monkeypatch, forks, sg_bt):
-        # a slow parent leaves most blocks to the child, which sends them back
-        # block by block; each is written once it is next and then dropped,
-        # so the text this process holds in commit stays below the file's.
-        # Blocks of three rows make the file many blocks long against one
-        # block's formatting temporaries
+        # a slow parent leaves most blocks to the child.  Each block this
+        # process formats is written once the child has entered the lengths
+        # of the blocks before it, which it does as it formats them, so what
+        # this process holds in commit stays below two blocks of text.  The
+        # peak leaves out each block's own formatting temporaries, several
+        # times its text (TestFormatRows::test_traced_peak_per_value), but
+        # not the few kB of small buffers numpy keeps cached, hence blocks of
+        # four rows of 301 values
         parent = os.getpid()
         format_rows = pp._format_rows
-        in_parent = []
+        in_parent, peaks = [], []
 
         def slow(block):
-            if os.getpid() == parent:
-                time.sleep(0.01)
-                in_parent.append(len(block))
-            return format_rows(block)
+            if os.getpid() != parent:
+                return format_rows(block)
+            time.sleep(0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            text = format_rows(block)
+            tracemalloc.reset_peak()
+            in_parent.append(len(block))
+            return text
 
         commit = pp.FieldRows.commit
-        peaks = []
 
-        def traced(rows, path):
+        def traced(rows):
             tracemalloc.start()
             try:
-                commit(rows, path)
+                commit(rows)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
         monkeypatch.setattr(pp, "_format_rows", slow)
-        monkeypatch.setattr(pp, "_BLOCK", 64)
+        monkeypatch.setattr(pp, "_BLOCK", 1 << 10)
         monkeypatch.setattr(pp.FieldRows, "commit", traced)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        grid = pp.Grid(31, 401, 0.0, 2.0, 0.0, 1.0)
+        grid = pp.Grid(301, 401, 0.0, 2.0, 0.0, 1.0)
         path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid) as rows:
+        with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             assert rows._blocks > 100
             pp.write_field_csv(res.v, path, rows)
@@ -1115,69 +1139,113 @@ class TestFieldRows:
         assert in_parent
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(res.v)
-        assert len(peaks) == 1 and peaks[0] < os.path.getsize(path)
+        assert max(peaks) < 2 * rows._lengths.max()
 
     @pytest.mark.parametrize("death", ["killed", "exit status 0"])
-    def test_child_dying_mid_stream_fails_the_write(self, tmp_path, monkeypatch, forks, death):
-        # the child dies as it frames its third block, once this process has
-        # read its first frames; a short frame ends the merge, whatever the
-        # child's exit status
+    def test_child_dying_after_writing_blocks_fails_the_write(self, tmp_path, monkeypatch, forks,
+                                                             death):
+        # the child dies as it writes its third block, once two of its
+        # blocks are in the file, whatever its exit status
         parent = os.getpid()
         format_rows = pp._format_rows
-        frame = pp._FRAME
-        sent, received = [], []
+        pwrite = pp._pwrite
+        written = np.frombuffer(mmap.mmap(-1, 8), np.int64)  # the child's writes
 
-        class Dying:
-            size = frame.size
-
-            def pack(self, k, n):
-                if len(sent) == 2:
+        def dying(fd, data, offset):
+            if os.getpid() != parent:
+                if written[0] == 2:
                     if death == "killed":
                         os.kill(os.getpid(), signal.SIGKILL)
                     os._exit(0)
-                sent.append(k)
-                return frame.pack(k, n)
-
-            def unpack(self, data):
-                received.append(frame.unpack(data))
-                return received[-1]
+                written[0] += 1
+            pwrite(fd, data, offset)
 
         def slow_parent(block):
             if os.getpid() == parent:
                 time.sleep(0.05)
             return format_rows(block)
 
-        monkeypatch.setattr(pp, "_FRAME", Dying())
+        monkeypatch.setattr(pp, "_pwrite", dying)
         monkeypatch.setattr(pp, "_format_rows", slow_parent)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rng = np.random.default_rng(7)
         field = pp.Field(pp.Grid(4000, 37, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(37, 4000)))
         path = str(tmp_path / "f.csv")
-        match = "CSV row formatter failed" if death == "killed" else "sent no block"
+        match = "CSV row formatter failed" if death == "killed" else "no CSV row formatter wrote"
         with pytest.raises(OSError, match=match):
             pp.write_field_csv(field, path)
         assert len(forks) == 1
-        assert len(received) >= 2
+        assert written[0] == 2
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
         assert_no_child_left()
 
-    def test_children_exit_when_the_parent_dies(self):
+    @pytest.mark.parametrize("short_in_child", [True, False])
+    def test_short_write_fails_the_write(self, tmp_path, monkeypatch, forks, short_in_child):
+        # a block written in part, as a full disk can leave it, is a failure
+        # whichever process wrote it
+        parent = os.getpid()
+        pwrite = os.pwrite
+
+        def short(fd, data, offset):
+            if offset and (os.getpid() != parent) == short_in_child:
+                return pwrite(fd, data[:-1], offset)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", short)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        path = str(tmp_path / "f.csv")
+        match = "CSV row formatter failed" if short_in_child else "short write of the CSV"
+        with pytest.raises(OSError, match=match):
+            pp.write_field_csv(csv_fields()["odd ny"], path)
+        assert len(forks) == 2
+        assert not os.path.exists(path)
+        assert not os.path.exists(path + ".tmp")
+        assert_no_child_left()
+
+    def test_held_blocks_written_once_their_place_is_known(self, tmp_path, monkeypatch):
+        # one row a block; blocks 1 and 4 are not formatted yet, so only
+        # the held blocks before the first gap are written, each at the
+        # header's length plus the lengths before it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        path = str(tmp_path / "f.csv")
+        with pp.FieldRows(pp.Grid(2, 6, 0.0, 1.0, 0.0, 1.0), path) as rows:
+            assert rows._blocks == 6
+            rows._lengths[:] = [3, -1, 2, 4, -1, 5]
+            held = {0: b"aaa", 2: b"cc", 3: b"dddd", 5: b"fffff"}
+            header = os.path.getsize(path + ".tmp")
+
+            def body():
+                with open(path + ".tmp", "rb") as fh:
+                    return fh.read()[header:]
+
+            rows._write_held(held)
+            assert body() == b"aaa" and sorted(held) == [2, 3, 5]
+            rows._lengths[1] = 1
+            rows._write_held(held)
+            assert body() == b"aaa\0ccdddd" and sorted(held) == [5]
+            rows._lengths[4] = 6
+            rows._write_held(held)
+            assert body() == b"aaa\0ccdddd" + bytes(6) + b"fffff" and held == {}
+            assert rows._written.tolist() == [True, False, True, True, False, True]
+
+    def test_children_exit_when_the_parent_dies(self, tmp_path):
         # the helper posts a few rows and exits without a commit; each of
         # its children holds a copy of the helper's stdout, so stdout
         # reaches end of file only once every child has exited
         helper = (
-            "import os\n"
+            "import os, sys\n"
             "from edsbt import propagate as pp\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-            "rows = pp.FieldRows(pp.Grid(4, 6, 0.0, 1.0, 0.0, 1.0))\n"
+            "rows = pp.FieldRows(pp.Grid(4, 6, 0.0, 1.0, 0.0, 1.0), sys.argv[1])\n"
             "rows.post(3)\n"
             "print(*(pid for pid, _pipe in rows._children), flush=True)\n"
             "os._exit(0)\n"
         )
         src = os.path.dirname(os.path.dirname(pp.__file__))
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.Popen([sys.executable, "-c", helper], stdout=subprocess.PIPE, env=env)
+        proc = subprocess.Popen([sys.executable, "-c", helper, str(tmp_path / "f.csv")],
+                                stdout=subprocess.PIPE, env=env)
         pids = [int(pid) for pid in proc.stdout.readline().split()]
         assert proc.wait(timeout=30) == 0
         assert len(pids) == 2
