@@ -569,7 +569,7 @@ def transversality_det(bt: WavelikeBT, X: VectorField, Y: VectorField,
 
 
 class QuasilinearFG:
-    """Closed-form (f, g) for affine first-order data F = F0 + F1 p,
+    """build_wavelike's (f, g) for affine first-order data F = F0 + F1 p,
     G = G0 + G1 q, with the bilinear-term report.  `coefficients` is keyed
     by ("f"|"g", "p"|"q"|"pq"), `pq_checks` by "f" and "g"."""
 
@@ -583,8 +583,11 @@ class QuasilinearFG:
 
 def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
                    spec: Optional[SampleSpec] = None) -> QuasilinearFG:
-    """Expand (f, g) for affine data exactly as the 2x2 inverse times the
-    2x4 derivative matrix times (1, p, q, pq)."""
+    """The pair (f, g) that build_wavelike induces from the affine data
+    F = F0 + F1 p, G = G0 + G1 q, with its p, q and pq coefficients.  f and
+    g are bilinear in (p, q), so each coefficient is a derivative with the
+    other momentum set to 0.  build_wavelike raises WavelikeBuildError where
+    F_p = F1, G_q = G1 or 1 - F_p G_q vanishes on the box."""
     chart = chart or b_chart()
     F0, F1, G0, G1 = (ex.as_expr(e, chart.coords, chart.params) for e in (F0, F1, G0, G1))
     for name, e in (("F0", F0), ("F1", F1), ("G0", G0), ("G1", G1)):
@@ -592,51 +595,16 @@ def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
         if bad:
             raise WavelikeBuildError(f"{name} must not involve {sorted(bad)}")
     spec = fm.resolve_spec(chart, spec)
-    delta = ex.sub(ex.ONE, ex.mul(F1, G1))
-    for name, e in (("F1", F1), ("G1", G1), ("1 - F1 G1", delta)):
-        margin = _sampled_min(e, spec)
-        if margin <= spec.guard:
-            raise WavelikeBuildError(f"{name} vanishes on the box (min {margin:.3e})")
-
-    def d(e, c):
-        return ex.differentiate(e, c)
-
-    row_f = (
-        ex.add(d(F0, "y"), ex.mul(G0, d(F0, "v"))),
-        ex.add(d(F1, "y"), ex.mul(G0, d(F1, "v"))),
-        ex.add(d(F0, "u"), ex.mul(G1, d(F0, "v"))),
-        ex.add(d(F1, "u"), ex.mul(G1, d(F1, "v"))),
-    )
-    row_g = (
-        ex.add(d(G0, "x"), ex.mul(F0, d(G0, "u"))),
-        ex.add(d(G0, "v"), ex.mul(F1, d(G0, "u"))),
-        ex.add(d(G1, "x"), ex.mul(F0, d(G1, "u"))),
-        ex.add(d(G1, "v"), ex.mul(F1, d(G1, "u"))),
-    )
-    f_terms = tuple(ex.div(ex.add(a, ex.mul(F1, b)), delta) for a, b in zip(row_f, row_g))
-    g_terms = tuple(ex.div(ex.add(ex.mul(G1, a), b), delta) for a, b in zip(row_f, row_g))
-
-    p_var, q_var = ex.Var("p"), ex.Var("q")
-    monomials = (ex.ONE, p_var, q_var, ex.mul(p_var, q_var))
-
-    def assemble(terms):
-        total = ex.ZERO
-        for coeff, mono in zip(terms, monomials):
-            total = ex.add(total, ex.mul(coeff, mono))
-        return total
-
-    f = assemble(f_terms)
-    g = assemble(g_terms)
-    coefficients = {
-        ("f", "p"): f_terms[1], ("f", "q"): f_terms[2], ("f", "pq"): f_terms[3],
-        ("g", "p"): g_terms[1], ("g", "q"): g_terms[2], ("g", "pq"): g_terms[3],
-    }
-    pq_checks = {
-        "f": ex.equiv_random(f_terms[3], ex.ZERO, spec),
-        "g": ex.equiv_random(g_terms[3], ex.ZERO, spec),
-    }
+    bt = build_wavelike(F0 + F1 * ex.Var("p"), G0 + G1 * ex.Var("q"), chart, spec)
+    coefficients = {}
+    for name, e in (("f", bt.f), ("g", bt.g)):
+        e_p = ex.differentiate(e, "p")
+        coefficients[name, "p"] = ex.substitute(e_p, "q", ex.ZERO)
+        coefficients[name, "q"] = ex.substitute(ex.differentiate(e, "q"), "p", ex.ZERO)
+        coefficients[name, "pq"] = ex.differentiate(e_p, "q")
+    pq_checks = {name: ex.equiv_random(coefficients[name, "pq"], ex.ZERO, spec) for name in "fg"}
     return QuasilinearFG(
-        f=f, g=g, coefficients=coefficients,
+        f=bt.f, g=bt.g, coefficients=coefficients,
         pq_vanishes=all(r.ok for r in pq_checks.values()),
         pq_checks=pq_checks,
     )

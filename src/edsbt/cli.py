@@ -551,7 +551,7 @@ def cmd_propagate(runner: _Runner) -> None:
         except pp.PropagationError as err:
             runner.record("propagation", "error", witness=str(err))
             return
-        pp.write_field_csv(result.v, runner.args.out, rows)
+        rows.commit()
     runner.extras["out"] = runner.args.out
     runner.extras["compatibility_residual"] = result.compatibility_residual
     runner.record("propagation", "pass", samples=grid.nx * grid.ny)

@@ -102,15 +102,10 @@ def validate(sys: MongeAmpereSystem, spec: Optional[SampleSpec] = None) -> Check
     theta_monomials = [
         fm.wedge(sys.theta, fm.d_coord(chart, c)) for c in chart.coords
     ]
-    iu, ip, iq = chart.index("u"), chart.index("p"), chart.index("q")
-    ix, iy = chart.index("x"), chart.index("y")
+    contact = contact_form(chart)
 
     def violation(pt: Point) -> float:
-        v = fm.coefficients_at(sys.theta, pt, spec.guard)
-        w = np.zeros(chart.dim)
-        w[ix] = -pt.coords["p"]
-        w[iy] = -pt.coords["q"]
-        w[iu] = 1.0
+        v, w = fm.coefficient_matrix_at([sys.theta, contact], pt, spec.guard).T
         c = float(v @ w) / float(w @ w)
         resid = v - c * w
         worst = float(np.max(np.abs(resid))) / (1.0 + float(np.max(np.abs(v))))

@@ -660,9 +660,11 @@ class FieldRows:
     header's length plus the lengths before it once those are all known,
     holding it until then (_write_held).  Only queue records and single
     signal bytes cross a pipe.  The last block is never queued, so that
-    this process formats at least one.  Leaving the `with` block without
-    a commit kills and reaps every child and removes the .tmp; a child
-    whose queue closes because this process died exits at once.
+    this process formats at least one.  A march fills `values` and posts
+    its rows as they are final; write_field_csv copies a whole field in.
+    Leaving the `with` block without a commit kills and reaps every child
+    and removes the .tmp; a child whose queue closes because this process
+    died exits at once.
     """
 
     def __init__(self, grid: Grid, path: str):
@@ -729,12 +731,6 @@ class FieldRows:
         every child has exited 0 and every block is marked written."""
         self.post(self.grid.ny)
         os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
-        # each child claims before this process does, so that every child
-        # gets a block where one is queued for it and a failing child fails
-        # the write (without the wait, 6 of 300 writes of 7 rows by two
-        # children did not)
-        for _pid, report in self._children:
-            os.read(report, 1)
         held = {}
         while (k := _claim(self._claims)) >= 0:
             self._take(k, held)
@@ -790,11 +786,8 @@ class FieldRows:
                 for _pid, fd in self._children:
                     os.close(fd)
                 held = {}
-                k = _claim(self._claims)
-                os.write(write_fd, b"\0")  # the first claim is made
-                while k >= 0:
+                while (k := _claim(self._claims)) >= 0:
                     self._take(k, held)
-                    k = _claim(self._claims)
                 os.write(write_fd, b"\0")  # every length of its blocks is in
                 if os.read(self._wait, 1):
                     self._write_held(held)
@@ -817,28 +810,22 @@ def _pwrite(fd: int, data: bytes, offset: int) -> None:
         raise OSError(f"short write of the CSV at byte {offset}")
 
 
-def write_field_csv(fieldobj: Field, path: str, rows: Optional[FieldRows] = None) -> None:
+def write_field_csv(fieldobj: Field, path: str) -> None:
     """Serialize a field; singular nodes become `nan`.
 
-    `rows`, when given, is the FieldRows for `path` that the field was
-    marched into, whose children have formatted and written blocks of rows
-    since the march finished them; without it every row is ready at once.
-    Either way this process formats blocks with the children until none is
-    left, and every child has exited and been reaped before this returns.
-    The bytes depend neither on the CPU count nor on which process
-    formatted a block.
+    The values are copied into a FieldRows for `path`, all rows ready at
+    once, and committed: this process formats blocks with the children
+    until none is left, and every child has exited and been reaped before
+    this returns.  The bytes depend neither on the CPU count nor on which
+    process formatted a block.
 
     Writing is atomic: the content lands in a sibling temp file first,
     which is removed if any row fails.
     """
-    if rows is None:
-        rows = FieldRows(fieldobj.grid, path)
+    with FieldRows(fieldobj.grid, path) as rows:
         rows.values[...] = fieldobj.values
         if fieldobj.singular is not None:
             rows.values[fieldobj.singular] = np.nan
-    elif fieldobj.values is not rows.values or fieldobj.singular is not None or path != rows.path:
-        raise ValueError("the field does not hold the rows' values for this path")
-    with rows:
         rows.commit()
 
 
@@ -947,8 +934,9 @@ def _format_rows(block: np.ndarray) -> bytes:
 
     The digits of the finite values with 1e-4 <= |x| < 1e16, which repr
     prints without an exponent, are found here for the whole block at
-    once.  repr itself writes every other value, and every value whose
-    digits that arithmetic does not prove."""
+    once.  repr itself writes the text of every other value, and of every
+    value whose digits that arithmetic does not prove, into one more field
+    of the value's record."""
     nx = block.shape[-1]
     x = np.ascontiguousarray(block, dtype=float).ravel()
     a = np.abs(x)
@@ -976,7 +964,8 @@ def _format_rows(block: np.ndarray) -> bytes:
     del c, p, t, pf
     # each value's text in one record, NUL where no character is shown: the
     # sign, the integer digits in groups of four, the point and zeros, the
-    # other digits, the separator; a field no value of the block shows is left out
+    # other digits, repr's text, the separator; a field no value of the block
+    # shows is left out
     fields = []
     negative = fast & (x < 0)
     if negative.any():
@@ -997,25 +986,19 @@ def _format_rows(block: np.ndarray) -> bytes:
     del frac, fd
     fields.append(("sep", np.full(x.size, ord(","), np.uint8)))
     fields[-1][1][nx - 1::nx] = ord("\n")
-    text = np.empty(x.size, [(name, f"<u{values.itemsize}") for name, values in fields])
+    layout = [(name, f"<u{values.itemsize}") for name, values in fields]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # NUL-padded; repr's text is at most a sign, 17 digits, the point and e-308
+        layout.insert(-1, ("repr", "S24"))
+    text = np.zeros(x.size, layout)
     for name, values in fields:
         text[name] = values
     del fields, values
-    shown = text.view(np.uint8) != 0
-    out = text.view(np.uint8)[shown]
-    del text
-    out = out.tobytes()
-    if fast.all():
-        return out
-    # repr's text goes before the separator, the only character of its record
-    slow = np.flatnonzero(~fast)
-    ends = np.cumsum(shown.reshape(x.size, -1).sum(1))[slow] - 1
-    pieces, start = [], 0
-    for v, end in zip(x[slow].tolist(), ends.tolist()):
-        pieces += (out[start:end], repr(v).encode())
-        start = end
-    pieces.append(out[start:])
-    return b"".join(pieces)
+    if slow.size:
+        text["repr"][slow] = [repr(v) for v in x[slow].tolist()]
+    out = text.view(np.uint8)
+    return out[out != 0].tobytes()
 
 
 def _reap(children: list, kill: bool = False) -> None:

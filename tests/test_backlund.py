@@ -548,7 +548,56 @@ class TestClassifiers:
         assert not bk.check_autonomous(bt, X, Y, spec)
 
 
+def expansion_2x2(F0, F1, G0, G1, chart):
+    """The (f, g) of affine data F = F0 + F1 p, G = G0 + G1 q, expanded by
+    hand as the 2x2 inverse times the 2x4 derivative matrix times
+    (1, p, q, pq): (f, g, coefficients keyed like QuasilinearFG's)."""
+    F0, F1, G0, G1 = (ex.as_expr(e, chart.coords, chart.params) for e in (F0, F1, G0, G1))
+    delta = ex.sub(ex.ONE, ex.mul(F1, G1))
+    d = ex.differentiate
+    row_f = (
+        ex.add(d(F0, "y"), ex.mul(G0, d(F0, "v"))),
+        ex.add(d(F1, "y"), ex.mul(G0, d(F1, "v"))),
+        ex.add(d(F0, "u"), ex.mul(G1, d(F0, "v"))),
+        ex.add(d(F1, "u"), ex.mul(G1, d(F1, "v"))),
+    )
+    row_g = (
+        ex.add(d(G0, "x"), ex.mul(F0, d(G0, "u"))),
+        ex.add(d(G0, "v"), ex.mul(F1, d(G0, "u"))),
+        ex.add(d(G1, "x"), ex.mul(F0, d(G1, "u"))),
+        ex.add(d(G1, "v"), ex.mul(F1, d(G1, "u"))),
+    )
+    terms = {
+        "f": [ex.div(ex.add(a, ex.mul(F1, b)), delta) for a, b in zip(row_f, row_g)],
+        "g": [ex.div(ex.add(ex.mul(G1, a), b), delta) for a, b in zip(row_f, row_g)],
+    }
+    p, q = ex.Var("p"), ex.Var("q")
+    monomials = (ex.ONE, p, q, ex.mul(p, q))
+    f, g = (sum((c * m for c, m in zip(terms[name], monomials)), ex.ZERO) for name in "fg")
+    coefficients = {(name, mono): terms[name][i]
+                    for name in "fg" for i, mono in enumerate(("p", "q", "pq"), 1)}
+    return f, g, coefficients
+
+
+AFFINE_DATA = {
+    "sine-Gordon": ("2*lam*sin((u+v)/2)", "1", "(2/lam)*sin((u-v)/2)", "-1"),
+    "slope": ("0", "1+u*v", "0", "v"),
+}
+
+
 class TestQuasilinearFG:
+    @pytest.mark.parametrize("data", sorted(AFFINE_DATA))
+    def test_matches_the_2x2_expansion(self, data):
+        ch = sg_chart()
+        spec = ch.sample_spec(count=24)
+        result = bk.quasilinear_fg(*AFFINE_DATA[data], ch, spec)
+        f, g, coefficients = expansion_2x2(*AFFINE_DATA[data], ch)
+        assert ex.equiv_random(result.f, f, spec)
+        assert ex.equiv_random(result.g, g, spec)
+        assert sorted(result.coefficients) == sorted(coefficients)
+        for key, expected in coefficients.items():
+            assert ex.equiv_random(result.coefficients[key], expected, spec), key
+
     def test_sine_gordon_data(self):
         ch = sg_chart()
         spec = ch.sample_spec(count=24)
@@ -577,12 +626,16 @@ class TestQuasilinearFG:
         assert result.coefficients[("f", "pq")] != ex.ZERO
 
     def test_agrees_with_wavelike_builder(self):
-        bt, spec = sg_bt()
-        result = bk.quasilinear_fg(
-            "2*lam*sin((u+v)/2)", "1", "(2/lam)*sin((u-v)/2)", "-1", bt.chart, spec
-        )
-        assert ex.equiv_random(result.f, bt.f, spec)
-        assert ex.equiv_random(result.g, bt.g, spec)
+        # the pair is the builder's own, not a second derivation of it
+        ch = sg_chart()
+        spec = ch.sample_spec(count=16)
+        p, q = ex.Var("p"), ex.Var("q")
+        for F0, F1, G0, G1 in AFFINE_DATA.values():
+            result = bk.quasilinear_fg(F0, F1, G0, G1, ch, spec)
+            F0, F1, G0, G1 = (ex.parse(e, ch.coords, ch.params) for e in (F0, F1, G0, G1))
+            bt = bk.build_wavelike(F0 + F1 * p, G0 + G1 * q, ch, spec)
+            assert result.f is bt.f
+            assert result.g is bt.g
 
     def test_rejects_momentum_dependence(self):
         ch = sg_chart()
@@ -591,8 +644,10 @@ class TestQuasilinearFG:
 
     def test_rejects_degenerate_delta(self):
         ch = sg_chart()
-        with pytest.raises(bk.WavelikeBuildError):
+        with pytest.raises(bk.WavelikeBuildError, match="1 - F_p G_q vanishes"):
             bk.quasilinear_fg("0", "1", "0", "1", ch, ch.sample_spec(count=8))
+        with pytest.raises(bk.WavelikeBuildError, match="F_p vanishes"):
+            bk.quasilinear_fg("0", "0", "0", "1", ch, ch.sample_spec(count=8))
 
 
 class TestNormalizeFirstOrder:

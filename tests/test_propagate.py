@@ -555,6 +555,50 @@ class TestBoostCovariance:
         assert abs(boosted.compatibility_residual - base.compatibility_residual) <= 5.1e-14
 
 
+class TestTzitzeicaBoostCovariance:
+    """Under the same boost, (ln h)_xy = h - h^{-2} is invariant, and the
+    (alpha, beta) system with lam becomes the one with k^3 lam for
+    alpha~ = k alpha o phi and beta~ = beta o phi / k: marching it from
+    (k alpha0, beta0 / k) and the seed h o phi on the boosted grid gives
+    h' o phi, and scales the two compatibility residuals by k and 1/k.
+    The seed 1 solves the equation, the other does not."""
+
+    LAM, ALPHA0, BETA0, GRID = 1.3, 0.5, 0.7, pp.Grid(41, 31, 0.0, 0.3, 0.0, 0.3)
+
+    def runs(self, seed, k):
+        g = self.GRID
+        base = pp.tzitzeica_propagate(seed, self.LAM, self.ALPHA0, self.BETA0, g)
+        moved = ex.substitute(ex.parse(seed, ("x", "y")), "x", ex.mul(ex.Const(k), ex.Var("x")))
+        moved = ex.substitute(moved, "y", ex.div(ex.Var("y"), ex.Const(k)))
+        k = float(k)
+        boosted = pp.Grid(g.nx, g.ny, g.x0 / k, g.x1 / k, g.y0 * k, g.y1 * k)
+        return base, pp.tzitzeica_propagate(moved, k**3 * self.LAM, k * self.ALPHA0,
+                                            self.BETA0 / k, boosted), k
+
+    SEEDS = pytest.mark.parametrize("seed", ["1", "2 + sin(x*y) + y^3"],
+                                    ids=["solution", "non-solution"])
+
+    @SEEDS
+    @pytest.mark.parametrize("k", [Fraction(2), Fraction(1, 2)], ids=["2", "1/2"])
+    def test_dyadic_boost_is_bitwise(self, seed, k):
+        base, boosted, k = self.runs(seed, k)
+        assert np.array_equal(boosted.alpha.values, k * base.alpha.values)
+        assert np.array_equal(boosted.beta.values, base.beta.values / k)
+        assert np.array_equal(boosted.h_prime.values, base.h_prime.values)
+        assert boosted.alpha_compatibility == k * base.alpha_compatibility
+        assert boosted.beta_compatibility == base.beta_compatibility / k
+
+    @SEEDS
+    def test_boost_by_three_within_rounding(self, seed):
+        # the bounds observed on this grid over both seeds
+        base, boosted, k = self.runs(seed, Fraction(3))
+        assert np.max(np.abs(boosted.alpha.values - k * base.alpha.values)) <= 2.3e-15
+        assert np.max(np.abs(boosted.beta.values - base.beta.values / k)) <= 3.4e-16
+        assert np.max(np.abs(boosted.h_prime.values - base.h_prime.values)) <= 2.3e-15
+        assert abs(boosted.alpha_compatibility - k * base.alpha_compatibility) <= 1.7e-13
+        assert abs(boosted.beta_compatibility - base.beta_compatibility / k) <= 1.0e-14
+
+
 class TestFailurePrecedence:
     @staticmethod
     def bt(F, G="-q + (2/lam)*sin((u - v)/2)"):
@@ -900,15 +944,18 @@ class TestFieldCSV:
     def test_failed_block_leaves_no_file_and_no_child(
         self, tmp_path, monkeypatch, forks, fail_in_child
     ):
+        # each child claims at least its stop record, and this process
+        # formats at least the last block
         parent = os.getpid()
-        format_rows = pp._format_rows
+        name = "_claim" if fail_in_child else "_format_rows"
+        real = getattr(pp, name)
 
-        def failing(block):
+        def failing(arg):
             if (os.getpid() != parent) == fail_in_child:
-                raise MemoryError("formatting failed")
-            return format_rows(block)
+                raise MemoryError(f"{name} failed")
+            return real(arg)
 
-        monkeypatch.setattr(pp, "_format_rows", failing)
+        monkeypatch.setattr(pp, name, failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = str(tmp_path / "f.csv")
         with pytest.raises(OSError if fail_in_child else MemoryError):
@@ -963,7 +1010,7 @@ class TestFieldRows:
         with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             assert len(forks) == cpus - 1
-            pp.write_field_csv(res.v, path, rows)
+            rows.commit()
         assert_no_child_left()
         assert np.array_equal(res.v.values, plain.v.values)
         assert res.compatibility_residual == plain.compatibility_residual
@@ -990,7 +1037,7 @@ class TestFieldRows:
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
-            pp.write_field_csv(res.v, path, rows)
+            rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert 0 < len(in_parent) < grid.ny
@@ -1015,7 +1062,7 @@ class TestFieldRows:
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
-            pp.write_field_csv(res.v, path, rows)
+            rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert in_parent and all(len(block) in (1, 2) for block in in_parent)
@@ -1058,17 +1105,6 @@ class TestFieldRows:
                         rows = pp._block_rows(ny, nx, readers)
                         assert 1 <= rows <= ny
                         assert -(-ny // rows) - 1 + readers <= queue
-
-    def test_field_outside_the_rows_rejected(self, tmp_path, sg_bt):
-        grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)
-        path = str(tmp_path / "v.csv")
-        with pp.FieldRows(grid, path) as rows:
-            with pytest.raises(ValueError):
-                pp.write_field_csv(pp.Field(grid, np.zeros((5, 5))), path, rows)
-            with pytest.raises(ValueError):
-                pp.write_field_csv(pp.Field(grid, rows.values), path + "2", rows)
-        assert not os.path.exists(path)
-        assert_no_child_left()
 
     def test_dead_children_fail_the_write(self, tmp_path, monkeypatch, forks):
         # children that die leave their blocks unformatted: the write fails
@@ -1133,7 +1169,7 @@ class TestFieldRows:
         with pp.FieldRows(grid, path) as rows:
             res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             assert rows._blocks > 100
-            pp.write_field_csv(res.v, path, rows)
+            rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert in_parent
@@ -1183,21 +1219,38 @@ class TestFieldRows:
     @pytest.mark.parametrize("short_in_child", [True, False])
     def test_short_write_fails_the_write(self, tmp_path, monkeypatch, forks, short_in_child):
         # a block written in part, as a full disk can leave it, is a failure
-        # whichever process wrote it
+        # whichever process wrote it.  This process claims only once both
+        # children have, so that each child has a block to write
         parent = os.getpid()
-        pwrite = os.pwrite
+        pwrite, claim = os.pwrite, pp._claim
+        claims, claimed = os.pipe()
+        waiting = [2]
 
         def short(fd, data, offset):
             if offset and (os.getpid() != parent) == short_in_child:
                 return pwrite(fd, data[:-1], offset)
             return pwrite(fd, data, offset)
 
+        def children_first(queue):
+            if os.getpid() != parent:
+                k = claim(queue)
+                os.write(claimed, b"\0")
+                return k
+            while waiting[0] and select.select([claims], [], [], 30)[0]:
+                waiting[0] -= len(os.read(claims, waiting[0]))
+            return claim(queue)
+
         monkeypatch.setattr(os, "pwrite", short)
+        monkeypatch.setattr(pp, "_claim", children_first)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = str(tmp_path / "f.csv")
         match = "CSV row formatter failed" if short_in_child else "short write of the CSV"
-        with pytest.raises(OSError, match=match):
-            pp.write_field_csv(csv_fields()["odd ny"], path)
+        try:
+            with pytest.raises(OSError, match=match):
+                pp.write_field_csv(csv_fields()["odd ny"], path)
+        finally:
+            os.close(claims)
+            os.close(claimed)
         assert len(forks) == 2
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
