@@ -3,8 +3,8 @@
 The chart (x, y, u, v, p, q) carries two overlapping contact structures
 theta = du - F dx - q dy and theta_bar = dv - p dx - G dy, coupled through
 first-order data F(x,y,u,v,p) and G(x,y,u,v,q).  build_wavelike solves for
-the induced pair (f, g), assembles the adapted coframe, and records the
-diagnostics; the check_* classifiers decide integrable extension, normality,
+the induced pair (f, g) and assembles the adapted coframe; closure_checks and
+the check_* classifiers decide closure, integrable extension, normality,
 wavelike shape, quasilinearity, symmetry, and autonomy by sampled linear
 algebra over the chart box.
 
@@ -16,7 +16,6 @@ vanish for a valid adapted section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -291,41 +290,16 @@ def normal_margins(torsion: TorsionInvariants) -> dict:
 # construction from first-order data
 
 
-@dataclass(frozen=True)
-class BuildReport:
-    """Diagnostics from build_wavelike.
-
-    c2/c4 are the theta-correction coefficients of w2/w4, F_v/F_p and
-    G_u/G_q; df/dg are the residual checks that the derived pair (f, g)
-    depends on (v, p) only through F and on (u, q) only through G -- the
-    defining property of a genuine transformation.
-    """
-
-    c2: Expr
-    c4: Expr
-    df_residual: CheckResult
-    dg_residual: CheckResult
-    fp_margin: float
-    gq_margin: float
-    delta_margin: float
-
-    @property
-    def conditions_hold(self) -> bool:
-        """True when both residual checks pass: the pair (f, g) really does
-        factor through (F, G), so the transformation closes."""
-        return self.df_residual.ok and self.dg_residual.ok
-
-
 class WavelikeBT:
     """A built transformation: the data (F, G), the induced pair (f, g),
-    F_p and G_q, the adapted coframe and the build diagnostics."""
+    F_p and G_q, and the adapted coframe."""
 
-    __slots__ = ("chart", "F", "G", "f", "g", "fp", "gq", "section", "report")
+    __slots__ = ("chart", "F", "G", "f", "g", "fp", "gq", "section")
 
     def __init__(self, chart: Chart, F: Expr, G: Expr, f: Expr, g: Expr, fp: Expr, gq: Expr,
-                 section: CoframeSection, report: BuildReport):
+                 section: CoframeSection):
         self.chart, self.F, self.G, self.f, self.g = chart, F, G, f, g
-        self.fp, self.gq, self.section, self.report = fp, gq, section, report
+        self.fp, self.gq, self.section = fp, gq, section
 
     def generators(self) -> list:
         """theta, theta_bar and the two decomposable wedge blocks."""
@@ -352,9 +326,10 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
 
     Solves the linear pair  f - g F_p = F_y + q F_u + G F_v,
                             g - f G_q = G_x + F G_u + p G_v
-    for (f, g), builds the adapted coframe, whose theta-corrections in w2/w4
-    are set in closed form by two structural zeros, and reports the residual
-    diagnostics.
+    for (f, g) and builds the adapted coframe, whose theta-corrections in
+    w2/w4 are set in closed form by two structural zeros.  Raises
+    WavelikeBuildError when F involves q, G involves p, or F_p, G_q or
+    1 - F_p G_q comes within the guard of zero on the samples.
     """
     chart = chart or b_chart()
     F, G = (ex.as_expr(e, chart.coords, chart.params) for e in (F, G))
@@ -399,66 +374,59 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
     w2 = eta2 + c2 * theta_bar
     w4 = eta4 + c4 * theta
     section = CoframeSection(chart, theta, theta_bar, dx, w2, dy, w4)
+    return WavelikeBT(chart, F, G, f, g, Fp, Gq, section)
 
-    df_res = ex.equiv_random(
-        ex.sub(ex.mul(ex.differentiate(f, "v"), Fp), ex.mul(ex.differentiate(f, "p"), ex.differentiate(F, "v"))),
-        ex.ZERO, spec,
-    )
-    dg_res = ex.equiv_random(
-        ex.sub(ex.mul(ex.differentiate(g, "u"), Gq), ex.mul(ex.differentiate(g, "q"), ex.differentiate(G, "u"))),
-        ex.ZERO, spec,
-    )
 
-    report = BuildReport(
-        c2=c2, c4=c4, df_residual=df_res, dg_residual=dg_res,
-        fp_margin=fp_margin, gq_margin=gq_margin, delta_margin=delta_margin,
-    )
-    return WavelikeBT(chart, F, G, f, g, Fp, Gq, section, report)
+def closure_checks(bt: WavelikeBT, spec: Optional[SampleSpec] = None) -> dict:
+    """The sampled checks that the induced pair factors through the data:
+    f depends on (v, p) only through F, and g on (u, q) only through G --
+    the defining property of a genuine transformation."""
+    spec = fm.resolve_spec(bt.chart, spec)
+    F, G, f, g, Fp, Gq = bt.F, bt.G, bt.f, bt.g, bt.fp, bt.gq
+    return {
+        "dropF": ex.equiv_random(
+            ex.sub(ex.mul(ex.differentiate(f, "v"), Fp), ex.mul(ex.differentiate(f, "p"), ex.differentiate(F, "v"))),
+            ex.ZERO, spec,
+        ),
+        "dropG": ex.equiv_random(
+            ex.sub(ex.mul(ex.differentiate(g, "u"), Gq), ex.mul(ex.differentiate(g, "q"), ex.differentiate(G, "u"))),
+            ex.ZERO, spec,
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
 # classifiers
 
 
-class RawExtensionSystem:
-    """Explicit generator data for the integrable-extension test when no
-    built coframe is available: the two contact forms plus the decomposable
-    pairs pulled back from each side."""
-
-    __slots__ = ("chart", "theta", "theta_bar", "omega1", "omega2", "omega1_bar", "omega2_bar")
-
-    def __init__(self, chart: Chart, theta: DifferentialForm, theta_bar: DifferentialForm,
-                 omega1: DifferentialForm, omega2: DifferentialForm,
-                 omega1_bar: DifferentialForm, omega2_bar: DifferentialForm):
-        self.chart, self.theta, self.theta_bar = chart, theta, theta_bar
-        self.omega1, self.omega2 = omega1, omega2
-        self.omega1_bar, self.omega2_bar = omega1_bar, omega2_bar
-
-
-def integrable_extension_checks(obj, spec: Optional[SampleSpec] = None) -> dict:
-    """The two sampled membership checks behind check_integrable_extension."""
-    if isinstance(obj, WavelikeBT):
-        theta, theta_bar, o1, o2 = obj.generators()
-        o1b, o2b = o1, o2
-    else:
-        theta, theta_bar = obj.theta, obj.theta_bar
-        o1, o2 = obj.omega1, obj.omega2
-        o1b, o2b = obj.omega1_bar, obj.omega2_bar
-    spec = fm.resolve_spec(obj.chart, spec)
+def integrable_extension_checks(theta: DifferentialForm, theta_bar: DifferentialForm,
+                                omegas: Sequence[DifferentialForm],
+                                omegas_bar: Sequence[DifferentialForm],
+                                spec: Optional[SampleSpec] = None) -> dict:
+    """The two sampled membership checks behind check_integrable_extension:
+    d(theta) in the ideal of theta, theta_bar and the barred decomposable
+    pair `omegas_bar`, d(theta_bar) in that of theta_bar, theta and
+    `omegas`.  A built transformation passes both pairs as its two wedge
+    blocks (WavelikeBT.generators)."""
+    spec = fm.resolve_spec(theta.chart, spec)
     return {
         "dtheta": fm.ideal_contains(
-            fm.exterior_derivative(theta), [theta, theta_bar, o1b, o2b], spec
+            fm.exterior_derivative(theta), [theta, theta_bar, *omegas_bar], spec
         ),
         "dtheta_bar": fm.ideal_contains(
-            fm.exterior_derivative(theta_bar), [theta_bar, theta, o1, o2], spec
+            fm.exterior_derivative(theta_bar), [theta_bar, theta, *omegas], spec
         ),
     }
 
 
-def check_integrable_extension(obj, spec: Optional[SampleSpec] = None) -> bool:
+def check_integrable_extension(theta: DifferentialForm, theta_bar: DifferentialForm,
+                               omegas: Sequence[DifferentialForm],
+                               omegas_bar: Sequence[DifferentialForm],
+                               spec: Optional[SampleSpec] = None) -> bool:
     """True iff d(theta) lies in the ideal spanned by both contact forms and
     the barred decomposable pair, and symmetrically for d(theta_bar)."""
-    return all(r.ok for r in integrable_extension_checks(obj, spec).values())
+    checks = integrable_extension_checks(theta, theta_bar, omegas, omegas_bar, spec)
+    return all(r.ok for r in checks.values())
 
 
 def check_wavelike(section: CoframeSection, eta1: DifferentialForm,
@@ -522,10 +490,12 @@ def check_symmetry(generators: Sequence[DifferentialForm], X: VectorField,
 
 
 def check_autonomous(bt: WavelikeBT, X: VectorField, Y: VectorField,
-                     spec: Optional[SampleSpec] = None) -> bool:
+                     spec: Optional[SampleSpec] = None, det: Optional[float] = None) -> bool:
     """Commuting symmetry pair transverse to the two line bundles:
     [X, Y] = 0, both fields are symmetries of the ideal, and the 2x2 pairing
-    determinant of (w1, w3) against (X, Y) stays away from zero."""
+    determinant of (w1, w3) against (X, Y) stays away from zero.  `det` is
+    transversality_det's value for the same arguments, when the caller
+    already has it."""
     spec = fm.resolve_spec(bt.chart, spec)
     chart = bt.chart
     for i in range(chart.dim):
@@ -544,7 +514,9 @@ def check_autonomous(bt: WavelikeBT, X: VectorField, Y: VectorField,
     gens = bt.generators()
     if not (check_symmetry(gens, X, spec) and check_symmetry(gens, Y, spec)):
         return False
-    return transversality_det(bt, X, Y, spec) > spec.guard
+    if det is None:
+        det = transversality_det(bt, X, Y, spec)
+    return det > spec.guard
 
 
 def transversality_det(bt: WavelikeBT, X: VectorField, Y: VectorField,
@@ -610,15 +582,6 @@ def quasilinear_fg(F0, F1, G0, G1, chart: Optional[Chart] = None,
     )
 
 
-class QuasilinearPDE:
-    """u_xy = A u_x u_y + B u_x + C u_y + D with coefficients in (x, y, u)."""
-
-    __slots__ = ("A", "B", "C", "D")
-
-    def __init__(self, A: Expr, B: Expr = ex.ZERO, C: Expr = ex.ZERO, D: Expr = ex.ZERO):
-        self.A, self.B, self.C, self.D = A, B, C, D
-
-
 def u_antiderivative(e: Expr) -> Expr:
     """Symbolic antiderivative in u for the supported shapes: u-free factors,
     sums, negation, u-powers, and quotients with u-free denominators."""
@@ -660,22 +623,24 @@ class FirstOrderNormalization:
         self.a_tilde, self.description = a_tilde, description
 
 
-def normalize_first_order(pde: QuasilinearPDE, chart: Optional[Chart] = None,
+def normalize_first_order(A: Expr, chart: Optional[Chart] = None,
                           spec: Optional[SampleSpec] = None) -> FirstOrderNormalization:
-    """Point transform killing the bilinear term: phi_u = exp(-antider(A)).
+    """Point transform killing the bilinear term A u_x u_y of
+    u_xy = A u_x u_y + B u_x + C u_y + D, with coefficients in (x, y, u):
+    phi_u = exp(-antider(A)).
 
     The returned phi_u satisfies phi_uu + A phi_u = 0, which makes the
     transformed bilinear coefficient (phi_uu + A phi_u)/phi_u^2 vanish.
     """
     chart = chart or fm.default_chart(("x", "y", "u"))
     spec = fm.resolve_spec(chart, spec)
-    primitive = u_antiderivative(pde.A)
+    primitive = u_antiderivative(A)
     phi_u = ex.exp(ex.neg(primitive))
     residual = ex.equiv_random(
-        ex.add(ex.differentiate(phi_u, "u"), ex.mul(pde.A, phi_u)), ex.ZERO, spec
+        ex.add(ex.differentiate(phi_u, "u"), ex.mul(A, phi_u)), ex.ZERO, spec
     )
     a_tilde = ex.div(
-        ex.add(ex.differentiate(phi_u, "u"), ex.mul(pde.A, phi_u)),
+        ex.add(ex.differentiate(phi_u, "u"), ex.mul(A, phi_u)),
         ex.pow_int(phi_u, 2),
     )
     description = {

@@ -234,7 +234,7 @@ def _parse_expressions(chart, kind, body, candidates, path):
     def parse(text, where):
         try:
             return chart.parse(text)
-        except ex.ExprSyntaxError as err:
+        except ex.ExprError as err:  # a syntax error, or a constant that cannot fold
             raise DefinitionError(f"{path}: {where}: {err}") from None
 
     def parse_list(value, where):
@@ -397,7 +397,9 @@ def cmd_check(runner: _Runner) -> None:
         from . import backlund as bk
         bt = runner.build_bt()
         validated = runner.record_section(bt.section)
-        for name, result in bk.integrable_extension_checks(bt, runner.spec).items():
+        theta, theta_bar, *omegas = bt.generators()
+        checks = bk.integrable_extension_checks(theta, theta_bar, omegas, omegas, runner.spec)
+        for name, result in checks.items():
             runner.record_check(f"integrable_extension_{name}", result)
         if validated is not None:
             runner.record_normal(validated.torsion)
@@ -405,8 +407,8 @@ def cmd_check(runner: _Runner) -> None:
                 runner.extras[f"margin_{label}"] = margin
         else:
             runner.record("normal", "error", witness="section invalid, torsion skipped")
-        runner.record_check("dropF_condition", bt.report.df_residual)
-        runner.record_check("dropG_condition", bt.report.dg_residual)
+        for name, result in bk.closure_checks(bt, runner.spec).items():
+            runner.record_check(f"{name}_condition", result)
     elif kind == "ma":
         from . import monge_ampere as ma
         system = runner.build_ma()
@@ -438,10 +440,9 @@ def cmd_classify(runner: _Runner) -> None:
         runner.notes.append(str(err))
     runner.extras["wavelike"] = wavelike
     runner.extras["quasilinear"] = bk.check_quasilinear(bt, runner.spec)
-    runner.extras["autonomous"] = bk.check_autonomous(bt, X, Y, runner.spec)
-    runner.extras["transversality_det_min"] = bk.transversality_det(
-        bt, X, Y, runner.spec
-    )
+    det = bk.transversality_det(bt, X, Y, runner.spec)
+    runner.extras["autonomous"] = bk.check_autonomous(bt, X, Y, runner.spec, det)
+    runner.extras["transversality_det_min"] = det
     runner.record("classification", "pass", samples=runner.spec.count)
 
 
@@ -524,10 +525,10 @@ def _grid_from_args(args) -> pp.Grid:
 
 def _xy_expr(text: str, chart: fm.Chart, flag: str) -> ex.Expr:
     """A flag's expression in x, y and the chart's params; one that does
-    not parse is a usage error."""
+    not parse, or holds a constant that cannot fold, is a usage error."""
     try:
         return ex.parse(text, ("x", "y"), chart.params.keys())
-    except ex.ExprSyntaxError as err:
+    except ex.ExprError as err:
         raise DefinitionError(f"bad {flag}: {err}") from None
 
 

@@ -475,8 +475,9 @@ def atan(a) -> Expr:
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative with respect to the coordinate `var`.
 
-    Parameters differentiate to zero.  No simplification beyond the
-    constructors' constant folding.
+    Parameters differentiate to zero.  A quotient whose denominator is
+    free of `var` differentiates as d(numerator)/denominator; there is no
+    other simplification beyond the constructors' constant folding.
     """
     if var not in e.names():
         return ZERO
@@ -495,6 +496,8 @@ def differentiate(e: Expr, var: str) -> Expr:
             mul(e.left, differentiate(e.right, var)),
         )
     if kind is Div:
+        if var not in e.right.names():
+            return div(differentiate(e.left, var), e.right)
         num = sub(
             mul(differentiate(e.left, var), e.right),
             mul(e.left, differentiate(e.right, var)),

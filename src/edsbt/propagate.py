@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import mmap
 import os
 import re
@@ -668,6 +669,8 @@ class FieldRows:
     """
 
     def __init__(self, grid: Grid, path: str):
+        if os.path.isdir(path) and not os.path.islink(path):  # commit's rename would fail
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         self.grid, self.path, self._tmp = grid, path, path + ".tmp"
         self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
         self._posted = 0  # blocks below this are on the queue

@@ -68,15 +68,9 @@ def raw_system(ch, half_angle=True):
             total = total + ex.differentiate(h, c) * fm.d_coord(ch, c)
         return total
 
-    return bk.RawExtensionSystem(
-        ch,
-        theta,
-        theta_bar,
-        fm.wedge(differential(F) - ex.sin(u) * dy, dx),
-        fm.wedge(dq - ex.sin(u) * dx, dy),
-        fm.wedge(dp - ex.sin(v) * dy, dx),
-        fm.wedge(differential(G) - ex.sin(v) * dx, dy),
-    )
+    omegas = (fm.wedge(differential(F) - ex.sin(u) * dy, dx), fm.wedge(dq - ex.sin(u) * dx, dy))
+    omegas_bar = (fm.wedge(dp - ex.sin(v) * dy, dx), fm.wedge(differential(G) - ex.sin(v) * dx, dy))
+    return theta, theta_bar, omegas, omegas_bar
 
 
 def test_criterion_1_torsion_closed_forms():
@@ -129,11 +123,15 @@ def test_criterion_3_build_and_extension():
         bt = bk.build_wavelike(SG_F, SG_G, ch, spec)
         assert ex.equiv_random(bt.f, ex.sin(ex.Var("u")), spec).ok
         assert ex.equiv_random(bt.g, ex.sin(ex.Var("v")), spec).ok
-        assert bt.report.df_residual.max_violation <= 1e-9
-        assert bt.report.dg_residual.max_violation <= 1e-9
-        assert bk.check_integrable_extension(bt, ch.sample_spec(count=64, tolerance=1e-8))
+        closure = bk.closure_checks(bt, spec)
+        assert closure["dropF"].max_violation <= 1e-9
+        assert closure["dropG"].max_violation <= 1e-9
+        theta, theta_bar, *omegas = bt.generators()
+        assert bk.check_integrable_extension(
+            theta, theta_bar, omegas, omegas, ch.sample_spec(count=64, tolerance=1e-8)
+        )
         corrupted = bk.integrable_extension_checks(
-            raw_system(ch, half_angle=False), spec
+            *raw_system(ch, half_angle=False), spec
         )
         assert corrupted["dtheta"].max_violation > 1e-2
         assert corrupted["dtheta_bar"].max_violation > 1e-2
@@ -231,7 +229,7 @@ def test_criterion_8_quasilinear_closed_forms():
         assert fg.pq_checks["f"].max_violation <= 1e-12
         assert fg.pq_checks["g"].max_violation <= 1e-12
 
-        norm = bk.normalize_first_order(bk.QuasilinearPDE(A=ex.ONE))
+        norm = bk.normalize_first_order(ex.ONE)
         u = ex.Var("u")
         assert norm.phi_u == ex.exp(ex.neg(u))
         ode = ex.add(ex.differentiate(norm.phi_u, "u"), ex.mul(ex.ONE, norm.phi_u))

@@ -55,17 +55,19 @@ class TestBuildWavelike:
         c4_expected = ex.neg(
             ex.mul(ex.div(ex.ONE, lam), ex.cos(ex.div(ex.sub(u, v), ex.Const(2))))
         )
-        assert ex.equiv_random(bt.report.c2, c2_expected, spec)
-        assert ex.equiv_random(bt.report.c4, c4_expected, spec)
+        # w2 = dp - g dy + c2 theta_bar and w4 = dq - f dx + c4 theta: c2 is
+        # w2's dv coefficient, c4 w4's du coefficient
+        assert ex.equiv_random(bt.section.w2.coeffs[(3,)], c2_expected, spec)
+        assert ex.equiv_random(bt.section.w4.coeffs[(2,)], c4_expected, spec)
 
     def test_sine_gordon_report(self):
-        bt, _ = sg_bt()
-        r = bt.report
-        assert r.df_residual.max_violation < 1e-9
-        assert r.dg_residual.max_violation < 1e-9
-        assert r.conditions_hold
-        assert r.fp_margin > 0.5
-        assert r.delta_margin > 0.5
+        bt, spec = sg_bt()
+        checks = bk.closure_checks(bt, spec)
+        assert checks["dropF"].max_violation < 1e-9
+        assert checks["dropG"].max_violation < 1e-9
+        assert all(r.ok for r in checks.values())
+        assert bk._sampled_min(bt.fp, spec) > 0.5
+        assert bk._sampled_min(ex.sub(ex.ONE, ex.mul(bt.fp, bt.gq)), spec) > 0.5
 
     def test_coupled_data_builds_but_fails_conditions(self):
         # F = p + uv, G = -q + uv defines a coframe yet the mixed
@@ -73,9 +75,10 @@ class TestBuildWavelike:
         ch = sg_chart()
         spec = ch.sample_spec(count=24)
         bt = bk.build_wavelike("p + u*v", "-q + u*v", ch, spec)
-        assert not bt.report.conditions_hold
-        assert bt.report.df_residual.max_violation > 1e-2
-        assert bt.report.dg_residual.max_violation > 1e-2
+        checks = bk.closure_checks(bt, spec)
+        assert not any(r.ok for r in checks.values())
+        assert checks["dropF"].max_violation > 1e-2
+        assert checks["dropG"].max_violation > 1e-2
 
     def test_rejects_f_depending_on_q(self):
         ch = sg_chart()
@@ -439,25 +442,24 @@ def raw_sg_system(ch, half_angle=True):
     omega2 = fm.wedge(dq - ex.sin(u) * dx, dy)
     omega1_bar = fm.wedge(dp - ex.sin(v) * dy, dx)
     omega2_bar = fm.wedge(differential(G) - ex.sin(v) * dx, dy)
-    return bk.RawExtensionSystem(
-        ch, theta, theta_bar, omega1, omega2, omega1_bar, omega2_bar
-    )
+    return theta, theta_bar, (omega1, omega2), (omega1_bar, omega2_bar)
 
 
 class TestIntegrableExtension:
     def test_built_bt_is_extension(self):
         bt, spec = sg_bt()
-        assert bk.check_integrable_extension(bt, spec)
+        theta, theta_bar, *omegas = bt.generators()
+        assert bk.check_integrable_extension(theta, theta_bar, omegas, omegas, spec)
 
     def test_raw_sine_gordon_is_extension(self):
         ch = sg_chart()
         spec = ch.sample_spec(count=24)
-        assert bk.check_integrable_extension(raw_sg_system(ch), spec)
+        assert bk.check_integrable_extension(*raw_sg_system(ch), spec)
 
     def test_full_angle_corruption_fails(self):
         ch = sg_chart()
         spec = ch.sample_spec(count=24)
-        checks = bk.integrable_extension_checks(raw_sg_system(ch, half_angle=False), spec)
+        checks = bk.integrable_extension_checks(*raw_sg_system(ch, half_angle=False), spec)
         assert not checks["dtheta"].ok
         assert not checks["dtheta_bar"].ok
         assert checks["dtheta"].max_violation > 1e-2
@@ -469,12 +471,8 @@ class TestIntegrableExtension:
         ch = sg_chart()
         spec = ch.sample_spec(count=8)
         dx, dy, du, dv, dp, dq = (fm.d_coord(ch, c) for c in ch.coords)
-        sys = bk.RawExtensionSystem(
-            ch, du, dv,
-            fm.wedge(dp, dx), fm.wedge(dq, dy),
-            fm.wedge(dp, dx), fm.wedge(dq, dy),
-        )
-        assert bk.check_integrable_extension(sys, spec)
+        pair = (fm.wedge(dp, dx), fm.wedge(dq, dy))
+        assert bk.check_integrable_extension(du, dv, pair, pair, spec)
 
 
 class TestClassifiers:
@@ -625,6 +623,14 @@ class TestQuasilinearFG:
         assert not result.pq_vanishes
         assert result.coefficients[("f", "pq")] != ex.ZERO
 
+    def test_pq_coefficient_keeps_its_denominator(self):
+        # differentiating (f, g) in p and q leaves 1 - F1 G1 unsquared
+        ch = sg_chart()
+        result = bk.quasilinear_fg(0, "1+u*v", 0, "v", ch, ch.sample_spec(count=16))
+        parse = ch.parse
+        assert result.coefficients["f", "pq"] is parse("(v+v*u+(1+u*v))/(1-(1+u*v)*v)")
+        assert result.coefficients["g", "pq"] is parse("(1+v*(v+v*u))/(1-(1+u*v)*v)")
+
     def test_agrees_with_wavelike_builder(self):
         # the pair is the builder's own, not a second derivation of it
         ch = sg_chart()
@@ -652,7 +658,7 @@ class TestQuasilinearFG:
 
 class TestNormalizeFirstOrder:
     def test_constant_coefficient(self):
-        result = bk.normalize_first_order(bk.QuasilinearPDE(ex.ONE))
+        result = bk.normalize_first_order(ex.ONE)
         u = ex.Var("u")
         assert result.phi_u == ex.exp(ex.neg(u))
         assert result.residual.ok
@@ -660,13 +666,13 @@ class TestNormalizeFirstOrder:
         assert spec > 0
 
     def test_zero_coefficient(self):
-        result = bk.normalize_first_order(bk.QuasilinearPDE(ex.ZERO))
+        result = bk.normalize_first_order(ex.ZERO)
         assert result.phi_u == ex.ONE
         assert result.residual.ok
 
     def test_base_dependent_coefficient(self):
         a = ex.add(ex.Var("x"), ex.Var("y"))
-        result = bk.normalize_first_order(bk.QuasilinearPDE(a))
+        result = bk.normalize_first_order(a)
         assert result.residual.ok
         assert "A_tilde" in result.description
 
@@ -674,12 +680,12 @@ class TestNormalizeFirstOrder:
         chart = bk.b_chart()
         spec = chart.sample_spec(count=16)
         for coeff in (ex.ONE, ex.Var("u"), ex.add(ex.Var("x"), ex.Var("y"))):
-            result = bk.normalize_first_order(bk.QuasilinearPDE(coeff))
+            result = bk.normalize_first_order(coeff)
             assert ex.equiv_random(result.a_tilde, ex.ZERO, spec)
 
     def test_unsupported_coefficient(self):
         with pytest.raises(bk.AntiderivativeError):
-            bk.normalize_first_order(bk.QuasilinearPDE(ex.exp(ex.Var("u"))))
+            bk.normalize_first_order(ex.exp(ex.Var("u")))
 
 
 class TestUAntiderivative:

@@ -200,6 +200,16 @@ class TestExitCodes:
         assert code == 2
         assert report is None
 
+    @pytest.mark.parametrize("text, message", [("p + 1/0", "division by constant zero"),
+                                               ("p + 0^-1", "zero to a negative power")])
+    def test_constant_that_cannot_fold_is_two(self, tmp_path, capsys, text, message):
+        path = write_def(tmp_path, SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", f"F = {text}"))
+        code = cli.main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"edsbt: {path}: [bt] F: {message}\n"
+
     def test_wrong_kind_is_two(self, tmp_path, capsys):
         code, _ = run(capsys, "classify", write_def(tmp_path, TZ_DEF))
         assert code == 2
@@ -398,6 +408,26 @@ class TestClassifyCommand:
         assert report["wavelike"] is True
         assert report["quasilinear"] is True
         assert report["autonomous"] is True
+        assert report["transversality_det_min"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("F, autonomous", [("p + 2*lam*sin((u + v)/2)", True),
+                                               ("p + sin(x + (u + v)/2)", False)])
+    def test_transversality_det_is_computed_once(self, tmp_path, capsys, monkeypatch, F,
+                                                 autonomous):
+        # x-dependent data: d/dx is no symmetry, though the pairing stays 1
+        calls = []
+        det = bk.transversality_det
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return det(*args, **kwargs)
+
+        monkeypatch.setattr(bk, "transversality_det", counting)
+        text = SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", f"F = {F}")
+        code, report = run(capsys, "classify", write_def(tmp_path, text), "--samples", "16")
+        assert code == 0
+        assert len(calls) == 1
+        assert report["autonomous"] is autonomous
         assert report["transversality_det_min"] == pytest.approx(1.0)
 
     def test_explicit_candidates_match_defaults(self, tmp_path, capsys):
@@ -634,6 +664,24 @@ class TestPropagateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--seed-u", "x/0", "division by constant zero"),
+        ("--reference", "0^-1 + x", "zero to a negative power"),
+    ])
+    def test_constant_that_cannot_fold_in_a_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                                                text, message):
+        out = tmp_path / "v.csv"
+        flags = {"--seed-u": "0", "--reference": "0", flag: text}
+        code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--v0", "1",
+                         "--grid", "5,5", "--domain", "0,1,0,1", "--out", str(out),
+                         *(item for pair in flags.items() for item in pair)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"edsbt: bad {flag}: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+
+
 class TestPropagateAbort:
     """A propagate that does not pass writes no file and leaves no
     formatter child, whatever stage it stops in."""
@@ -760,6 +808,25 @@ class TestPropagateAbort:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_directory_out(self, tmp_path, capsys, monkeypatch, forks):
+        # commit's rename onto a directory would fail: it is refused before the march
+        out = tmp_path / "v.csv"
+        out.mkdir()
+        marches = []
+        monkeypatch.setattr(pp, "bt_propagate", lambda *args, **kwargs: marches.append(args))
+        code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--v0", "1", "--seed-u", "0",
+                         "--grid", "9,9", "--domain", "0,1,0,1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert marches == []
+        assert forks == []
+        assert captured.out == ""
+        assert captured.err == f"edsbt: [Errno 21] Is a directory: '{out}'\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "system.def", out]
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestTzitzeicaCommand:
     def test_fixed_point_end_to_end(self, tmp_path, capsys):
@@ -819,6 +886,48 @@ class TestSlotTablePasses:
         assert code == 0
         assert report["points"] == 8
         assert len(tables) == 8
+
+
+class TestClosureChecks:
+    """build_wavelike builds the transformation alone; only `check` runs
+    closure_checks."""
+
+    def test_only_check_runs_them(self, tmp_path, capsys, monkeypatch):
+        path = write_def(tmp_path, SG_DEF)
+        out = tmp_path / "v.csv"
+        others = [
+            ["torsion", path, "--samples", "8"],
+            ["classify", path, "--samples", "8"],
+            ["propagate", path, "--v0", "1", "--seed-u", "0", "--grid", "9,9",
+             "--domain", "0,1,0,1", "--out", str(out)],
+        ]
+
+        def runs():
+            reports = [(cli.main(argv), capsys.readouterr()) for argv in others]
+            return reports, out.read_bytes()
+
+        before = runs()
+        assert all(code == 0 for code, _ in before[0])
+
+        def broken(bt, spec=None):
+            raise RuntimeError("closure checks ran")
+
+        monkeypatch.setattr(bk, "closure_checks", broken)
+        assert runs() == before
+        code = cli.main(["check", path, "--samples", "8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "edsbt: closure checks ran\n"
+
+    def test_check_records_them_last(self, tmp_path, capsys):
+        code, report = run(capsys, "check", write_def(tmp_path, COUPLED_DEF), "--samples", "8")
+        assert code == 1
+        dropF, dropG = report["records"][-2:]
+        assert (dropF["name"], dropG["name"]) == ("dropF_condition", "dropG_condition")
+        assert dropF["status"] == dropG["status"] == "fail"
+        assert dropF["max_violation"] > 1e-2 and dropG["max_violation"] > 1e-2
+        assert dropF["witness"] and dropG["witness"]
 
 
 class TestReproducibility:

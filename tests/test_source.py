@@ -2,10 +2,13 @@
 
 A function local that is assigned and never read is either dead code or a
 value computed and then forgotten; symtable finds both without running the
-code.
+code.  A top-level function or class whose name appears nowhere but in its
+own definition is a helper nothing calls.
 """
 
+import ast
 import pathlib
+import re
 import symtable
 
 import pytest
@@ -13,6 +16,10 @@ import pytest
 import edsbt
 
 SOURCES = sorted(pathlib.Path(edsbt.__file__).parent.glob("*.py"))
+# where a name of the package counts as used: the package, its tests and its benchmark
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+READERS = sorted(path for tree in ("src", "tests", "perfbench")
+                 for path in (ROOT / tree).rglob("*.py"))
 
 
 def _free_below(table) -> set:
@@ -65,3 +72,49 @@ def test_an_unread_local_is_found():
         "    return x + g()\n"
     )
     assert unread_locals(symtable.symtable(source, "<f>", "exec")) == [("f", "y")]
+
+
+def unnamed_definitions(module: str, source: str, others: str) -> list:
+    """(module, name) for each top-level function or class of `source`
+    whose name appears neither in `others` nor in `source` outside its own
+    definition (decorators included)."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+        named = re.compile(rf"\b{re.escape(node.name)}\b")
+        if not (named.search(rest) or named.search(others)):
+            found.append((module, node.name))
+    return found
+
+
+def test_readers_found():
+    assert {p.parent.name for p in READERS} >= {"edsbt", "tests", "perfbench"}
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    texts = {path: path.read_text() for path in READERS}
+    found = []
+    for path in SOURCES:
+        others = "\n".join(text for other, text in texts.items() if other != path.resolve())
+        found += unnamed_definitions(path.stem, path.read_text(), others)
+    assert found == []
+
+
+def test_an_unnamed_definition_is_found():
+    source = (
+        "import functools\n"
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"  # names itself only
+        "    return recursive(n - 1) if n else used()\n"
+        "@functools.cache\n"
+        "def cached():\n"
+        "    return 2\n"
+        "class Called:\n"
+        "    pass\n"
+    )
+    assert unnamed_definitions("m", source, "Called()") == [("m", "recursive"), ("m", "cached")]
