@@ -563,20 +563,21 @@ def cmd_tzitzeica(runner: _Runner) -> None:
     from . import propagate as pp
     grid = _grid_from_args(runner.args)
     body = runner.defn.body
-    try:
-        result = pp.tzitzeica_propagate(
-            body["h"], body["lambda"], body["alpha0"], body["beta0"], grid
-        )
-    except pp.PropagationError as err:
-        runner.record("propagation", "error", witness=str(err))
-        return
-    pp.write_field_csv(result.h_prime, runner.args.out_hprime)
+    with pp.FieldRows(grid, runner.args.out_hprime) as rows:  # h' is written as it is marched
+        try:
+            result = pp.tzitzeica_propagate(
+                body["h"], body["lambda"], body["alpha0"], body["beta0"], grid, rows=rows
+            )
+        except pp.PropagationError as err:
+            runner.record("propagation", "error", witness=str(err))
+            return
+        rows.commit()
     runner.extras["out_hprime"] = runner.args.out_hprime
     runner.extras["alpha_compatibility"] = result.alpha_compatibility
     runner.extras["beta_compatibility"] = result.beta_compatibility
     runner.extras["singular_nodes"] = result.singular_count
     try:
-        residual = pp.tzitzeica_residual(result.h_prime)
+        residual = result.h_prime_residual.report()
         runner.extras["h_prime_max_residual"] = residual.max_residual
         runner.extras["h_prime_mean_residual"] = residual.mean_residual
     except pp.SingularFieldError:

@@ -14,12 +14,15 @@ node arrays, and one march runs both: classical RK4 along the base row
 y = y0, then up every column at once.  P solves the first relation for
 v_x, in closed form when F is affine in v_x, else with one elementwise
 root solver (Newton, then bisection on a bracket where Newton fails).
-The compatibility residual max |P_y - Q_x| is folded in as each row
-becomes final, from the march's own Q there and one solve for P; it
-vanishes to discretization accuracy exactly when the seed solves its PDE.
+The march holds two rows of its state.  The compatibility residual
+max |P_y - Q_x| is folded in as each row becomes final, from the
+march's own Q there and one solve for P; it vanishes to discretization
+accuracy exactly when the seed solves its PDE.  Then each final row is
+handed on: v is stored, and h' is made, counted and folded into its own
+residual three rows at a time.
 
-The march can fill a FieldRows, whose forked children take blocks of
-final rows of v from a queue that never fills and format them as CSV
+v or h' can be written into a FieldRows, whose forked children take blocks of
+final rows from a queue that never fills and format them as CSV
 text while the march and the residual run.  Every process that formats
 a block enters its length in a shared table and writes it into the
 output file at its offset once the lengths before it are known, so no
@@ -34,6 +37,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import errno
+import math
 import mmap
 import os
 import re
@@ -213,15 +217,23 @@ def _full(a, shape):
     return a if np.shape(a) == shape else np.broadcast_to(a, shape)
 
 
-def _march(along_row, up_columns, p_row, start, grid: Grid, rows: Optional[FieldRows] = None):
+def _finite(w):
+    """w, once it is checked finite."""
+    if not np.all(np.isfinite(w)):
+        raise PropagationError("propagated state diverged on the grid")
+    return w
+
+
+def _march(along_row, up_columns, p_row, on_row, start, grid: Grid):
     """March w_x = along_row(x, w) along y = y0 from w = `start` at (x0, y0),
-    then w_y = up_columns(y, w) up every column at once.  Returns w at every
-    node, shaped start.shape + (ny, nx), and per component the compatibility
-    residual max |P_y - Q_x| over the interior nodes, by central differences,
-    folded in as each row j is final: Q is up_columns there, the first stage
-    of row j's step, and P = p_row(j, w).  An exception from p_row is raised
-    once the march has passed its finiteness check.  A scalar state may be
-    marched into `rows`, which is posted each row index once that row is final."""
+    then w_y = up_columns(y, w) up every column at once, holding two rows of
+    w, shaped start.shape + (nx,).  Each row is checked finite as it is
+    made.  Returns per component the compatibility residual max |P_y - Q_x|
+    over the interior nodes, by central differences, folded in as each row
+    j is final: Q is up_columns there, the first stage of row j's step, and
+    P = p_row(j, w).  Then on_row(j, w) consumes the row.  An exception from
+    p_row is held, and no later row is consumed, until every row has passed
+    its finiteness check."""
     start = np.asarray(start, dtype=float)
     xs, ys = grid.xs(), grid.ys()
     # node-major, so that row[i] of a scalar state is a numpy scalar
@@ -229,8 +241,6 @@ def _march(along_row, up_columns, p_row, start, grid: Grid, rows: Optional[Field
     row[0] = start
     for i in range(grid.nx - 1):
         row[i + 1] = _rk4_step(along_row, xs[i], row[i], grid.hx)
-    W = np.empty(start.shape + (grid.ny, grid.nx)) if rows is None else rows.values
-    W[..., 0, :] = np.moveaxis(row, 0, -1)
 
     P = collections.deque(maxlen=3)  # P at the last three final rows
     worst = np.full(start.shape, -np.inf)
@@ -242,7 +252,7 @@ def _march(along_row, up_columns, p_row, start, grid: Grid, rows: Optional[Field
             return
         try:
             P.append(_full(p_row(j, w), w.shape))
-        except Exception as err:  # held until the march has passed its finiteness check
+        except Exception as err:  # held until every row has passed its finiteness check
             failure = err
             return
         if j > 1:
@@ -250,25 +260,21 @@ def _march(along_row, up_columns, p_row, start, grid: Grid, rows: Optional[Field
             d = ((P[2][..., 1:-1] - P[0][..., 1:-1]) / (2 * grid.hy)
                  - (q[..., 2:] - q[..., :-2]) / (2 * grid.hx))
             worst = np.maximum(worst, np.abs(d).max(axis=-1))
+        on_row(j, w)
 
     def stage(y, s):  # the step's first stage reads row j itself: k1
         return k1 if s is w else up_columns(y, s)
 
-    k1 = None
+    w, k1 = _finite(np.ascontiguousarray(np.moveaxis(row, 0, -1))), None
     for j in range(grid.ny - 1):
-        if rows is not None:
-            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
-        w, q_below = W[..., j, :], k1
-        k1 = up_columns(ys[j], w)  # row j of Q
+        q_below, k1 = k1, up_columns(ys[j], w)  # row j of Q
         fold(j, w, q_below)
-        W[..., j + 1, :] = _rk4_step(stage, ys[j], w, grid.hy)
-    if not np.all(np.isfinite(W)):
-        raise PropagationError("propagated state diverged on the grid")
-    fold(grid.ny - 1, W[..., -1, :], k1)
+        w = _finite(_rk4_step(stage, ys[j], w, grid.hy))
+    fold(grid.ny - 1, w, k1)
     if failure is not None:
         raise failure
-    up_columns(ys[-1], W[..., -1, :])  # unread, but a right side that fails there fails
-    return W, worst
+    up_columns(ys[-1], w)  # unread, but a right side that fails there fails
+    return worst
 
 
 def _require_interior(grid: Grid) -> None:
@@ -467,7 +473,14 @@ def bt_propagate(
         env = dict(column_terms(ys[j]), v=v)
         return v_x(env, ux(env, 0.0)[0], np.gradient(v, grid.hx) if split is None else None)
 
-    V, residual = _march(along_row, up_columns, p_row, v0, grid, rows)
+    V = np.empty((grid.ny, grid.nx)) if rows is None else rows.values
+
+    def on_row(j, v):
+        V[j] = v
+        if rows is not None:
+            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
+
+    residual = _march(along_row, up_columns, p_row, on_row, v0, grid)
     return BTPropagation(Field(grid, V), float(residual))
 
 
@@ -515,22 +528,64 @@ def wavelike_residual(v: Field, f, params: Optional[dict] = None) -> ResidualRep
 # the (ln h)_xy = h - h^{-2} transformation
 
 
+class TzitzeicaResidual:
+    """max and mean of |(ln h')_xy - h' + h'^{-2}| over the interior nodes
+    whose logarithm stencil avoids singular, nonpositive or non-finite
+    values, folded in as the rows of h' are added in order: each row's
+    logarithm is kept for the two rows after it, and interior row j - 1 is
+    closed once row j is in.  The mean is each row's np.sum added exactly
+    (math.fsum) over the usable node count."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._rows = collections.deque(maxlen=3)  # (h', h' > GUARD, ln h') of the last three rows
+        self._worst, self._sums, self._nodes = -np.inf, [], 0
+
+    def add(self, h_prime: np.ndarray) -> None:
+        ok = np.isfinite(h_prime) & (h_prime > GUARD)  # implies |h'| >= GUARD: not singular
+        self._rows.append((h_prime, ok, np.where(ok, np.log(np.where(ok, h_prime, 1.0)), np.nan)))
+        if len(self._rows) < 3:
+            return
+        (_, ok0, L0), (center, ok1, _), (_, ok2, L2) = self._rows
+        # the mixed stencil touches the four diagonal neighbors plus the center
+        usable = ok1[1:-1] & ok2[2:] & ok2[:-2] & ok0[2:] & ok0[:-2]
+        center = center[1:-1]
+        d_xy = (L2[2:] - L2[:-2] - L0[2:] + L0[:-2]) / (4 * self.grid.hx * self.grid.hy)
+        resid = np.abs(d_xy - center + center**-2.0)[usable]
+        if resid.size:
+            self._worst = max(self._worst, resid.max())
+            self._sums.append(resid.sum())
+            self._nodes += resid.size
+
+    def report(self) -> ResidualReport:
+        """The residual once every row is in; SingularFieldError when no
+        interior node is usable."""
+        if not self._nodes:
+            raise SingularFieldError("no usable interior nodes for the residual")
+        total = (self.grid.nx - 2) * (self.grid.ny - 2)
+        return ResidualReport(max_residual=float(self._worst),
+                              mean_residual=math.fsum(self._sums) / self._nodes,
+                              nodes=self._nodes, excluded=total - self._nodes)
+
+
 class TzitzeicaPropagation:
-    """The marched (alpha, beta), the new solution h', the compatibility
-    residual of each marched component, and the count of singular nodes."""
+    """The marched (alpha, beta) and the new solution h', None when h' was
+    written into a FieldRows, the compatibility residual of each marched
+    component, the count of singular nodes, and h''s own TzitzeicaResidual."""
 
     __slots__ = ("alpha", "beta", "h_prime", "alpha_compatibility", "beta_compatibility",
-                 "singular_count")
+                 "singular_count", "h_prime_residual")
 
-    def __init__(self, alpha: Field, beta: Field, h_prime: Field, alpha_compatibility: float,
-                 beta_compatibility: float, singular_count: int):
+    def __init__(self, alpha: Optional[Field], beta: Optional[Field], h_prime: Optional[Field],
+                 alpha_compatibility: float, beta_compatibility: float, singular_count: int,
+                 h_prime_residual: TzitzeicaResidual):
         self.alpha, self.beta, self.h_prime = alpha, beta, h_prime
         self.alpha_compatibility, self.beta_compatibility = alpha_compatibility, beta_compatibility
-        self.singular_count = singular_count
+        self.singular_count, self.h_prime_residual = singular_count, h_prime_residual
 
 
 def tzitzeica_propagate(
-    h, lam: float, alpha0: float, beta0: float, grid: Grid
+    h, lam: float, alpha0: float, beta0: float, grid: Grid, rows: Optional[FieldRows] = None,
 ) -> TzitzeicaPropagation:
     """March the auxiliary (alpha, beta) system and emit h' = 2*alpha*beta - h.
 
@@ -541,6 +596,9 @@ def tzitzeica_propagate(
 
     integrated along the base row and then up the columns.  Nodes where
     |h'| < GUARD are flagged singular rather than treated as failures.
+    Each row of h' is made, counted and folded into its residual once the
+    march has that row final.  With `rows`, h' is written into its shared
+    array, nan at singular nodes, and no array of the grid's size is kept.
     """
     _require_interior(grid)
     h = ex.as_expr(h, ("x", "y"))
@@ -551,7 +609,6 @@ def tzitzeica_propagate(
     h_of, hx_of, hy_of = (ex.compile((e,)) for e in (h, ex.differentiate(h, "x"),
                                                       ex.differentiate(h, "y")))
     xs, ys = grid.xs(), grid.ys()
-    H = np.empty((grid.ny, grid.nx))  # h at each final row, for h'
 
     def terms(env, derivative):  # h, checked against the guard, then its derivative
         hv = h_of(env, 0.0)[0]
@@ -577,52 +634,34 @@ def tzitzeica_propagate(
 
     def p_row(j, w):
         env, hv, _ = column_terms(ys[j])
-        H[j] = hv
         return w_x(w, hv, hx_of(env, 0.0)[0])
 
-    W, (alpha_c, beta_c) = _march(along_row, up_columns, p_row, (alpha0, beta0), grid)
-    A, B = W
-    h_prime = 2.0 * A * B - H
-    mask = np.abs(h_prime) < GUARD
-    return TzitzeicaPropagation(
-        alpha=Field(grid, A),
-        beta=Field(grid, B),
-        h_prime=Field(grid, h_prime, singular=mask if mask.any() else None),
-        alpha_compatibility=float(alpha_c),
-        beta_compatibility=float(beta_c),
-        singular_count=int(mask.sum()),
-    )
+    if rows is None:
+        A, B, Hp = (np.empty((grid.ny, grid.nx)) for _ in range(3))
+        mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    residual, singular = TzitzeicaResidual(grid), 0
 
+    def on_row(j, w):  # p_row has just evaluated h on row j
+        nonlocal singular
+        a, b = w
+        hp = 2.0 * a * b - column_terms(ys[j])[1]
+        sing = np.abs(hp) < GUARD
+        singular += int(np.count_nonzero(sing))
+        residual.add(hp)
+        if rows is None:
+            A[j], B[j], Hp[j], mask[j] = a, b, hp, sing
+        else:
+            rows.values[j] = np.where(sing, np.nan, hp)
+            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
 
-def tzitzeica_residual(h_prime: Field) -> ResidualReport:
-    """max and mean of |(ln h')_xy - h' + h'^{-2}| over interior nodes whose
-    logarithm stencil avoids singular or nonpositive values."""
-    grid = h_prime.grid
-    vals = h_prime.values
-    ok = np.isfinite(vals) & (vals > GUARD)
-    if h_prime.singular is not None:
-        ok &= ~h_prime.singular
-    L = np.where(ok, np.log(np.where(ok, vals, 1.0)), np.nan)
-    # the mixed stencil touches the four diagonal neighbors plus the center
-    usable = (
-        ok[1:-1, 1:-1]
-        & ok[2:, 2:]
-        & ok[2:, :-2]
-        & ok[:-2, 2:]
-        & ok[:-2, :-2]
-    )
-    total = usable.size
-    count = int(usable.sum())
-    if count == 0:
-        raise SingularFieldError("no usable interior nodes for the residual")
-    center = vals[1:-1, 1:-1]
-    resid = np.abs(_d_xy(L, grid) - center + center**-2.0)[usable]
-    return ResidualReport(
-        max_residual=float(np.max(resid)),
-        mean_residual=float(np.mean(resid)),
-        nodes=count,
-        excluded=total - count,
-    )
+    alpha_c, beta_c = _march(along_row, up_columns, p_row, on_row, (alpha0, beta0), grid)
+    if rows is None:
+        alpha, beta = Field(grid, A), Field(grid, B)
+        h_prime = Field(grid, Hp, singular=mask if singular else None)
+    else:
+        alpha = beta = h_prime = None
+    return TzitzeicaPropagation(alpha, beta, h_prime, float(alpha_c), float(beta_c), singular,
+                                residual)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_6_auxiliary_system_fixed_point():
         run = pp.tzitzeica_propagate("1", 1.0, 1.0, 1.0, grid)
         assert run.alpha_compatibility <= 1e-6
         assert run.beta_compatibility <= 1e-6
-        residual = pp.tzitzeica_residual(run.h_prime)
+        residual = run.h_prime_residual.report()
         assert residual.max_residual <= 1e-3
         h_vals = pp.sample_field("1", grid).values
         assert np.array_equal(

@@ -828,6 +828,36 @@ class TestPropagateAbort:
             os.waitpid(-1, os.WNOHANG)
 
 
+    @pytest.mark.parametrize("where", ["directory", "missing"])
+    def test_bad_out_hprime_fails_before_the_march(self, tmp_path, capsys, monkeypatch, forks,
+                                                   where):
+        # tzitzeica opens its output before the march, as propagate does
+        out = tmp_path / "hp.csv"
+        if where == "directory":
+            out.mkdir()
+            message = f"[Errno 21] Is a directory: '{out}'"
+        else:
+            out = tmp_path / "missing" / "hp.csv"
+            message = f"[Errno 2] No such file or directory: '{out}.tmp'"
+        marches = []
+        monkeypatch.setattr(pp, "tzitzeica_propagate", lambda *args, **kwargs: marches.append(args))
+        code = cli.main(["tzitzeica", write_def(tmp_path, TZ_DEF), "--grid", "9,9",
+                         "--domain", "0,0.5,0,0.5", "--out-hprime", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert marches == []
+        assert forks == []
+        assert captured.out == ""
+        assert captured.err == f"edsbt: {message}\n"
+        if where == "directory":
+            assert sorted(tmp_path.iterdir()) == [tmp_path / "hp.csv", tmp_path / "system.def"]
+            assert list(out.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestTzitzeicaCommand:
     def test_fixed_point_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path / "hp.csv")
@@ -844,6 +874,18 @@ class TestTzitzeicaCommand:
         assert report["h_prime_max_residual"] == 0.0
         field = pp.read_field_csv(out)
         assert np.all(field.values == 1.0)
+
+    def test_no_usable_node_skips_the_residual(self, tmp_path, capsys):
+        # from alpha0 = beta0 = 0, h' = 2 alpha beta - 1 stays negative
+        text = TZ_DEF.replace("alpha0 = 1", "alpha0 = 0").replace("beta0 = 1", "beta0 = 0")
+        out = str(tmp_path / "hp.csv")
+        code, report = run(capsys, "tzitzeica", write_def(tmp_path, text), "--grid", "21,21",
+                           "--domain", "0,0.3,0,0.3", "--out-hprime", out)
+        assert code == 0
+        assert report["notes"] == "h' residual skipped: no usable interior nodes"
+        assert "h_prime_max_residual" not in report and "h_prime_mean_residual" not in report
+        assert report["singular_nodes"] == 0
+        assert np.all(pp.read_field_csv(out).values < 0)
 
     def test_degenerate_coupling_is_runtime_error(self, tmp_path, capsys):
         text = TZ_DEF.replace("lambda = 1", "lambda = 0")

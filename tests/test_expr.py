@@ -304,13 +304,18 @@ def test_parser_round_trip(e):
     assert parse(render(e), ["x", "y", "u"], ["lambda"]) == e
 
 
-# total on the sample box: no division, ln, sqrt, tan, exp
+# total on the sample box: no ln, sqrt, tan or exp, and quotients and
+# negative powers only of bases kept off zero
 def _fd_leaf():
     return st.one_of(_names.map(Var), _consts)
 
 
 def _fd_extend(children):
     binary = st.tuples(children, children)
+    off_zero = st.one_of(  # at least 1 wherever the child is finite
+        children.map(lambda c: expr.add(expr.ONE, expr.pow_int(c, 2))),
+        children.map(lambda c: expr.add(Const(2), expr.sin(c))),
+    )
     return st.one_of(
         binary.map(lambda t: expr.add(*t)),
         binary.map(lambda t: expr.sub(*t)),
@@ -321,6 +326,10 @@ def _fd_extend(children):
         ),
         st.tuples(st.sampled_from(["sin", "cos", "atan"]), children).map(
             lambda t: expr.func(*t)
+        ),
+        st.tuples(children, off_zero).map(lambda t: expr.div(*t)),
+        st.tuples(off_zero, st.integers(min_value=-2, max_value=-1)).map(
+            lambda t: expr.pow_int(*t)
         ),
     )
 

@@ -402,16 +402,75 @@ class TestTzitzeicaPropagate:
             pp.tzitzeica_propagate("1", 0.0, 1.0, 1.0, grid)
 
 
+def mesh_tzitzeica_residual(h_prime):
+    """The h' residual over the whole mesh at once, as it was computed
+    before the march folded it in row by row."""
+    grid = h_prime.grid
+    vals = h_prime.values
+    ok = np.isfinite(vals) & (vals > pp.GUARD)
+    if h_prime.singular is not None:
+        ok &= ~h_prime.singular
+    L = np.where(ok, np.log(np.where(ok, vals, 1.0)), np.nan)
+    # the mixed stencil touches the four diagonal neighbors plus the center
+    usable = (
+        ok[1:-1, 1:-1]
+        & ok[2:, 2:]
+        & ok[2:, :-2]
+        & ok[:-2, 2:]
+        & ok[:-2, :-2]
+    )
+    total = usable.size
+    count = int(usable.sum())
+    if count == 0:
+        raise pp.SingularFieldError("no usable interior nodes for the residual")
+    center = vals[1:-1, 1:-1]
+    resid = np.abs(pp._d_xy(L, grid) - center + center**-2.0)[usable]
+    return pp.ResidualReport(
+        max_residual=float(np.max(resid)),
+        mean_residual=float(np.mean(resid)),
+        nodes=count,
+        excluded=total - count,
+    )
+
+
+def folded_tzitzeica_residual(h_prime):
+    """The h' residual folded in row by row, from the rows a FieldRows
+    would hold: nan at the singular nodes."""
+    residual = pp.TzitzeicaResidual(h_prime.grid)
+    for row in written_values(h_prime):
+        residual.add(row)
+    return residual.report()
+
+
+def assert_residuals_agree(folded, mesh):
+    """Bitwise but for the mean, whose sum is ordered differently."""
+    assert (folded.max_residual, folded.nodes, folded.excluded) == (
+        mesh.max_residual, mesh.nodes, mesh.excluded)
+    assert abs(folded.mean_residual - mesh.mean_residual) <= 4 * math.ulp(mesh.mean_residual)
+
+
+def vars_of(report):
+    return {name: getattr(report, name) for name in pp.ResidualReport.__slots__}
+
+
 class TestTzitzeicaResidual:
+    """The folded residual against the mesh-wide oracle."""
+
+    @staticmethod
+    def report(field):
+        folded = folded_tzitzeica_residual(field)
+        assert_residuals_agree(folded, mesh_tzitzeica_residual(field))
+        return folded
+
     def test_unit_field(self):
         grid = pp.Grid(11, 11, 0.0, 1.0, 0.0, 1.0)
-        rep = pp.tzitzeica_residual(pp.Field(grid, np.ones((11, 11))))
+        rep = self.report(pp.Field(grid, np.ones((11, 11))))
         assert rep.max_residual == 0.0
         assert rep.excluded == 0
 
     def test_constant_two(self):
         grid = pp.Grid(5, 5, 0.0, 2.0, 0.0, 2.0)
-        rep = pp.tzitzeica_residual(pp.Field(grid, np.full((5, 5), 2.0)))
+        rep = self.report(pp.Field(grid, np.full((5, 5), 2.0)))
         assert rep.max_residual == 1.75
 
     def test_excludes_singular_nodes(self):
@@ -419,7 +478,7 @@ class TestTzitzeicaResidual:
         vals = np.ones((7, 7))
         vals[3, 3] = np.nan
         mask = np.isnan(vals)
-        rep = pp.tzitzeica_residual(pp.Field(grid, vals, singular=mask))
+        rep = self.report(pp.Field(grid, vals, singular=mask))
         # the nan node knocks out itself and the four stencils through it
         assert rep.excluded == 5
         assert rep.nodes == 25 - 5
@@ -429,8 +488,50 @@ class TestTzitzeicaResidual:
         grid = pp.Grid(4, 4, 0.0, 1.0, 0.0, 1.0)
         vals = np.full((4, 4), np.nan)
         mask = np.ones((4, 4), dtype=bool)
+        for residual in (folded_tzitzeica_residual, mesh_tzitzeica_residual):
+            with pytest.raises(pp.SingularFieldError):
+                residual(pp.Field(grid, vals, singular=mask))
+
+    # (h, lam, alpha0, beta0): a solution, two non-solutions, h' = 0 at the
+    # corner, and h' <= 0 near the corner
+    MARCHES = pytest.mark.parametrize("h, lam, alpha0, beta0", [
+        ("1", 1.0, 0.6, 0.9), ("2 + x + y", 1.0, 1.2, 1.2), ("2 + sin(x*y) + y^3", 1.3, 1.1, 1.3),
+        ("1", 1.0, math.sqrt(0.5), math.sqrt(0.5)), ("2 + sin(x*y) + y^3", 1.3, 0.9, 1.0),
+    ], ids=["solution", "affine", "non-solution", "singular", "nonpositive"])
+
+    @MARCHES
+    def test_marched_equals_the_mesh_residual(self, h, lam, alpha0, beta0):
+        grid = pp.Grid(41, 31, 0.0, 0.3, 0.0, 0.3)
+        res = pp.tzitzeica_propagate(h, lam, alpha0, beta0, grid)
+        assert_residuals_agree(res.h_prime_residual.report(), mesh_tzitzeica_residual(res.h_prime))
+
+    @MARCHES
+    def test_streamed_equals_the_returned_field(self, tmp_path, monkeypatch, h, lam, alpha0,
+                                                beta0):
+        # into a FieldRows, h' is written with nan at its singular nodes,
+        # the bytes write_field_csv gives the returned field
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = pp.Grid(41, 31, 0.0, 0.3, 0.0, 0.3)
+        plain = pp.tzitzeica_propagate(h, lam, alpha0, beta0, grid)
+        path = str(tmp_path / "hp.csv")
+        with pp.FieldRows(grid, path) as rows:
+            res = pp.tzitzeica_propagate(h, lam, alpha0, beta0, grid, rows=rows)
+            rows.commit()
+        assert_no_child_left()
+        assert res.alpha is res.beta is res.h_prime is None
+        assert (res.alpha_compatibility, res.beta_compatibility, res.singular_count) == (
+            plain.alpha_compatibility, plain.beta_compatibility, plain.singular_count)
+        assert vars_of(res.h_prime_residual.report()) == vars_of(plain.h_prime_residual.report())
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(plain.h_prime)
+
+    def test_no_usable_node(self):
+        # h' = 2 alpha beta - 1 stays negative from alpha0 = beta0 = 0
+        grid = pp.Grid(21, 21, 0.0, 0.3, 0.0, 0.3)
+        res = pp.tzitzeica_propagate("1", 1.0, 0.0, 0.0, grid)
+        assert np.all(res.h_prime.values < 0)
         with pytest.raises(pp.SingularFieldError):
-            pp.tzitzeica_residual(pp.Field(grid, vals, singular=mask))
+            res.h_prime_residual.report()
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1118,27 @@ class TestFieldRows:
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(plain.v)
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("march", ["tzitzeica", "bt"])
+    def test_streamed_march_allocates_no_mesh_array(self, tmp_path, monkeypatch, sg_bt, march):
+        # the shared array is an mmap, which tracemalloc does not see, and
+        # the march holds rows.  bt_propagate's Field checks v finite through
+        # one byte a node: the peaks read about 1.1 (tzitzeica) and 1.3 (bt)
+        # bytes a node, a mesh array 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        grid = pp.Grid(401, 401, 0.0, 0.5, 0.0, 0.5)
+        with pp.FieldRows(grid, str(tmp_path / "f.csv")) as rows:
+            tracemalloc.start()
+            try:
+                if march == "tzitzeica":
+                    pp.tzitzeica_propagate("2 + sin(x*y) + y^3", 1.3, 1.1, 1.3, grid, rows=rows)
+                else:
+                    pp.bt_propagate(sg_bt, KINK_SEED, 0.0, grid, rows=rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows.commit()
+        assert peak < 8 * grid.nx * grid.ny
 
     def test_rows_claimed_by_both_processes(self, tmp_path, monkeypatch, forks, sg_bt):
         # a slow parent leaves most queued rows to the child, so the two
