@@ -539,16 +539,14 @@ def cmd_propagate(runner: _Runner) -> None:
     if not math.isfinite(args.v0):
         raise DefinitionError(f"--v0: expected a finite number, got {args.v0!r}")
     seed_u = _xy_expr(args.seed_u, chart, "--seed-u")
-    if args.reference is not None:
-        reference = _xy_expr(args.reference, chart, "--reference")
+    reference = None if args.reference is None else _xy_expr(args.reference, chart, "--reference")
     bt = runner.build_bt()
     grid = _grid_from_args(args)
     with pp.FieldRows(grid, args.out) as rows:  # writes v's rows as they are computed
         try:
-            result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows)
-            if args.reference is not None:
-                runner.extras["sup_error"] = pp.sup_error(reference, result.v,
-                                                          pp._fixed_params(bt.chart))
+            result = pp.bt_propagate(bt, seed_u, args.v0, grid, rows=rows, reference=reference)
+            if reference is not None:
+                runner.extras["sup_error"] = result.sup_error
         except pp.PropagationError as err:
             runner.record("propagation", "error", witness=str(err))
             return

@@ -584,8 +584,16 @@ def _emit(roots: tuple) -> Callable:
         body.append((f"{temps[e]} = {code}", reads))
         return temps[e]
 
-    def check(name, x):
-        body.append((f"{name}_domain({x}, guard)", (x,)))
+    def check(name, x, operand=None):  # operand: the node x holds
+        code = f"{name}_domain({x}, guard)"
+        if type(operand) is Const:  # a nonzero c is near zero exactly where guard > |c|
+            try:
+                c = abs(float(operand.value))
+            except OverflowError:  # the constant's own statement raises first
+                c = 0.0
+            if c:
+                code = f"if guard > {c!r}: {code}"
+        body.append((code, (x,)))
 
     def visit(e):
         kind = type(e)
@@ -600,7 +608,7 @@ def _emit(roots: tuple) -> Callable:
             return put(e, f"env[{e.name!r}]")
         if kind is Div:  # a denominator is checked before its numerator is computed
             right = visit(e.right)
-            check("Div", right)
+            check("Div", right, e.right)
             return put(e, f"{visit(e.left)} / {right}", temps[e.left], right)
         if isinstance(e, _Binary):
             left, right = visit(e.left), visit(e.right)
@@ -611,7 +619,7 @@ def _emit(roots: tuple) -> Callable:
         if kind is Pow:
             base = visit(e.base)
             if e.exponent < 0:
-                check("Pow", base)
+                check("Pow", base, e.base)
             return put(e, f"{base} ** {e.exponent}", base)
         if kind is not Func:
             raise TypeError(f"cannot evaluate {kind.__name__}")

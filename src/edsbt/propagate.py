@@ -23,13 +23,16 @@ residual three rows at a time.
 
 v or h' can be written into a FieldRows, whose forked children take blocks of
 final rows from a queue that never fills and format them as CSV
-text while the march and the residual run.  Every process that formats
-a block enters its length in a shared table and writes it into the
+text while the march and the residual run; the march's own process
+formats the oldest queued block whenever the children fall behind.
+Every process that formats a block gives the block's pages back to the
+system, enters its length in a shared table and writes it into the
 output file at its offset once the lengths before it are known, so no
 process holds more than the blocks still waiting for those lengths.
 The text is repr's, found exactly for a whole block at once from half
 an ulp either side of each value.  A reference solution is compared
-with v one block of rows at a time (sup_error).
+with v one block of final rows at a time (SupError), before the block
+is queued.
 """
 
 from __future__ import annotations
@@ -141,48 +144,80 @@ class Field:
         return 0 if self.singular is None else int(self.singular.sum())
 
 
-def _sample_blocks(e, grid: Grid, params: Optional[dict] = None):
-    """Yield (j, block): an expression in x, y evaluated pointwise on the
-    rows from j of the grid, in blocks of about _BLOCK values, each on its
-    own np.meshgrid, so that the values are bitwise the whole mesh's and a
-    failure raises from its lowest block."""
-    e = ex.as_expr(e, ("x", "y"), tuple(params or ()))
-    value = ex.compile((e,))
+def _sampler(e, grid: Grid, params: Optional[dict] = None):
+    """rows(j, stop): an expression in x, y evaluated pointwise on rows j
+    to stop - 1 of the grid, on their own np.meshgrid, so that the values
+    are bitwise the whole mesh's whatever rows are asked for."""
+    value = ex.compile((ex.as_expr(e, ("x", "y"), tuple(params or ())),))
     env = dict(params or {})
     xs, ys = grid.xs(), grid.ys()
-    step = max(1, _BLOCK // grid.nx)
-    for j in range(0, grid.ny, step):
-        env["x"], env["y"] = np.meshgrid(xs, ys[j:j + step])
-        yield j, _full(value(env, 0.0)[0], env["x"].shape)
+
+    def rows(j, stop):
+        env["x"], env["y"] = np.meshgrid(xs, ys[j:stop])
+        return _full(value(env, 0.0)[0], env["x"].shape)
+
+    return rows
+
+
+def _sample_step(grid: Grid) -> int:
+    """Rows per block of about _BLOCK values, the last block short."""
+    return max(1, _BLOCK // grid.nx)
 
 
 def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
     """Pointwise evaluation of an expression in x, y over the grid."""
+    rows, step = _sampler(e, grid, params), _sample_step(grid)
     vals = np.empty((grid.ny, grid.nx))
-    for j, block in _sample_blocks(e, grid, params):
-        vals[j:j + len(block)] = block
+    for j in range(0, grid.ny, step):
+        vals[j:j + step] = rows(j, j + step)
     return Field(grid, vals)
 
 
-def sup_error(e, v: Field, params: Optional[dict] = None) -> float:
-    """max |v - e| over the grid for a finite field v and a reference
-    expression e in x, y, one block of _sample_blocks at a time, so that no
-    array of the grid's size is built.  A failure raises from its lowest
-    block; a non-finite value of e raises, naming its lowest node, once
-    every block has been evaluated."""
-    grid, worst, bad = v.grid, 0.0, None
-    for j, block in _sample_blocks(e, grid, params):
-        d = np.abs(v.values[j:j + len(block)] - block).max()
+class SupError:
+    """max |v - e| over the grid for a finite v and a reference expression
+    e in x, y, folded in one block of consecutive rows of v at a time, so
+    that no array of the grid's size is built.  A block whose evaluation
+    raises is held, and no later block is evaluated; result() raises it,
+    or else names the lowest node where e is not finite."""
+
+    def __init__(self, e, grid: Grid, params: Optional[dict] = None):
+        self.grid, self._rows = grid, _sampler(e, grid, params)
+        self._worst, self._bad, self._failure = 0.0, None, None
+
+    def add(self, j: int, v_rows: np.ndarray) -> None:
+        """Fold in v_rows, the rows of v from row j on."""
+        if self._failure is not None:
+            return
+        try:
+            block = self._rows(j, j + len(v_rows))
+        except Exception as err:  # held: a failing march raises its own error first
+            self._failure = err
+            return
+        d = np.abs(v_rows - block).max()
         if np.isfinite(d):
-            worst = max(worst, d)
-        elif bad is None:
+            self._worst = max(self._worst, d)
+        elif self._bad is None:
             r, i = np.argwhere(~np.isfinite(block))[0]
-            bad = j + r, i, float(block[r, i])
-    if bad is not None:
-        j, i, value = bad
-        raise ValueError(f"the reference is {value!r} at node i={i}, j={j}, "
-                         f"(x, y) = ({float(grid.xs()[i])!r}, {float(grid.ys()[j])!r})")
-    return float(worst)
+            self._bad = j + r, i, float(block[r, i])
+
+    def result(self) -> float:
+        """The sup once every block is in."""
+        if self._failure is not None:
+            raise self._failure
+        if self._bad is not None:
+            j, i, value = self._bad
+            raise ValueError(f"the reference is {value!r} at node i={i}, j={j}, (x, y) = "
+                             f"({float(self.grid.xs()[i])!r}, {float(self.grid.ys()[j])!r})")
+        return float(self._worst)
+
+
+def sup_error(e, v: Field, params: Optional[dict] = None) -> float:
+    """max |v - e| over the grid for a finite field v, by SupError over
+    the blocks of sample_field."""
+    fold, step = SupError(e, v.grid, params), _sample_step(v.grid)
+    for j in range(0, v.grid.ny, step):
+        fold.add(j, v.values[j:j + step])
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +423,19 @@ def _bisect(residual, nodes, lo, hi):
 class BTPropagation:
     """Propagated companion solution with its compatibility diagnostic.
 
+    v is None when it was written into a FieldRows.
     compatibility_residual is max |d/dy(v_x) - d/dx(v_y)| over interior
     nodes, with the right sides evaluated through the defining relations
-    and differenced centrally.
+    and differenced centrally.  sup_error is max |v - reference|, None
+    without a reference.
     """
 
-    __slots__ = ("v", "compatibility_residual")
+    __slots__ = ("v", "compatibility_residual", "sup_error")
 
-    def __init__(self, v: Field, compatibility_residual: float):
+    def __init__(self, v: Optional[Field], compatibility_residual: float,
+                 sup_error: Optional[float] = None):
         self.v, self.compatibility_residual = v, compatibility_residual
+        self.sup_error = sup_error
 
 
 def _affine_split(F: Expr):
@@ -409,7 +448,7 @@ def _affine_split(F: Expr):
 
 def bt_propagate(
     bt: WavelikeBT, seed, v0: float, grid: Grid, bracket: Optional[tuple] = None,
-    rows: Optional[FieldRows] = None,
+    rows: Optional[FieldRows] = None, reference=None,
 ) -> BTPropagation:
     """Integrate the companion solution v from the corner value v0.
 
@@ -417,7 +456,10 @@ def bt_propagate(
     the ODE right sides are exact.  `bracket`, when given, is a global
     (lo, hi) window for the v_x root solve in the non-affine case.  With
     `rows`, v is marched into its shared array, which starts formatting
-    each block of rows of v as the march finishes it.
+    each block of rows of v as the march finishes it, and the result's v
+    is None.  A `reference` expression in x, y is compared with each
+    block of v once the block is final (SupError); its failures are
+    raised only once the march has passed.
     """
     _require_interior(grid)
     params = _fixed_params(bt.chart)
@@ -474,14 +516,22 @@ def bt_propagate(
         return v_x(env, ux(env, 0.0)[0], np.gradient(v, grid.hx) if split is None else None)
 
     V = np.empty((grid.ny, grid.nx)) if rows is None else rows.values
+    step = _sample_step(grid) if rows is None else rows.block_rows
+    fold = None if reference is None else SupError(reference, grid, params)
 
     def on_row(j, v):
         V[j] = v
+        if (j + 1) % step and j + 1 < grid.ny:
+            return
+        if fold is not None:  # the block that row j ends is final
+            start = j - j % step
+            fold.add(start, V[start:j + 1])
         if rows is not None:
             rows.post(j + 1)  # rows 0..j are final; the last block is never queued
 
     residual = _march(along_row, up_columns, p_row, on_row, v0, grid)
-    return BTPropagation(Field(grid, V), float(residual))
+    return BTPropagation(None if rows is not None else Field(grid, V), float(residual),
+                         None if fold is None else fold.result())
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +725,7 @@ _HEADER_RE = re.compile(
 _RECORD = struct.Struct("=i")  # a block index on the queue; -1 stops its reader
 _QUEUE = select.PIPE_BUF // _RECORD.size  # records the queue is ever given
 _BLOCK = 1 << 14  # values per block, over which one _format_rows call spreads its overhead
+_LAG = 16  # blocks per child queued unformatted before the posting process formats one
 
 
 def _block_rows(ny: int, nx: int, readers: int) -> int:
@@ -693,15 +744,22 @@ class FieldRows:
     consecutive rows (see _block_rows).  `path` + ".tmp" is opened and
     its header written before one child is forked per further CPU this
     process may run on (at most one per row).  The children claim block
-    indices from a queue, a pipe of 4-byte records; post(stop) queues the
-    blocks of the rows below `stop` once they are final, and commit()
-    formats what is left here.  Whoever formats a block enters its
-    length in a shared table, -1 until then, and writes the block at the
-    header's length plus the lengths before it once those are all known,
-    holding it until then (_write_held).  Only queue records and single
-    signal bytes cross a pipe.  The last block is never queued, so that
-    this process formats at least one.  A march fills `values` and posts
-    its rows as they are final; write_field_csv copies a whole field in.
+    indices from a queue, a pipe of 4-byte records whose read end never
+    blocks, so a child waits in select; post(stop) queues the blocks of
+    the rows below `stop` once they are final, and this process formats
+    the oldest queued block itself whenever more than _LAG blocks per
+    child wait unformatted, or each block at once with no child.
+    commit() formats what is left here.  Whoever formats a block gives
+    the block's whole pages of `values` back to the system (MADV_REMOVE,
+    which frees them for every process), so a row of `values` is
+    undefined once its block is formatted; a page shared by two blocks
+    stays until the commit.  It then enters the block's length in a
+    shared table, -1 until then, and writes the block at the header's
+    length plus the lengths before it once those are all known, holding
+    it until then (_write_held).  Only queue records and single signal
+    bytes cross a pipe.  The last block is never queued, so that this
+    process formats at least one.  A march fills `values` and posts its
+    rows as they are final; write_field_csv copies a whole field in.
     Leaving the `with` block without a commit kills and reaps every child
     and removes the .tmp; a child whose queue closes because this process
     died exits at once.
@@ -711,18 +769,26 @@ class FieldRows:
         if os.path.isdir(path) and not os.path.islink(path):  # commit's rename would fail
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         self.grid, self.path, self._tmp = grid, path, path + ".tmp"
-        self.values = np.frombuffer(mmap.mmap(-1, 8 * grid.ny * grid.nx)).reshape(grid.ny, grid.nx)
+        self._map = mmap.mmap(-1, 8 * grid.ny * grid.nx)
+        self.values = np.frombuffer(self._map).reshape(grid.ny, grid.nx)
         self._posted = 0  # blocks below this are on the queue
         affinity = getattr(os, "sched_getaffinity", None)
         readers = min(len(affinity(0)), grid.ny, _QUEUE - 1) if affinity else 1
-        self._rows = _block_rows(grid.ny, grid.nx, readers)
-        self._blocks = -(-grid.ny // self._rows)
+        self.block_rows = _block_rows(grid.ny, grid.nx, readers)
+        self._blocks = -(-grid.ny // self.block_rows)
+        # glibc raises its mmap and trim thresholds to the size of the
+        # largest mmapped chunk freed (mallopt(3)).  One such chunk, freed
+        # untouched, keeps the temporaries of a block's formatting and
+        # reference on the heap between march rows, where glibc would
+        # otherwise hand them back after each block and fault them in again
+        np.empty(min(128 * self.block_rows * grid.nx, 1 << 25), np.uint8)
         # per block, in shared memory: its text's length, -1 until it is
         # formatted, and whether it is written
         self._lengths = np.frombuffer(mmap.mmap(-1, 8 * self._blocks), np.int64)
         self._lengths[:] = -1
         self._written = np.frombuffer(mmap.mmap(-1, self._blocks), np.bool_)
         self._children = []  # (pid, read end of the pipe it reports on)
+        self._held = {}  # index -> text of the blocks formatted here and not yet written
         self._claims = self._queue = self._wait = self._go = -1
         self._fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
@@ -731,6 +797,7 @@ class FieldRows:
             _pwrite(self._fd, header, 0)
             self._start = len(header)
             self._claims, self._queue = os.pipe()
+            os.set_blocking(self._claims, False)
             self._wait, self._go = os.pipe()  # a byte on it lets a stopped child write the rest
             for _ in range(readers - 1):
                 self._children.append(self._fork())
@@ -758,11 +825,32 @@ class FieldRows:
             self._tmp = None
 
     def post(self, stop: int) -> None:
-        """Queue the blocks of the rows below `stop` but the last block."""
-        stop = min(stop // self._rows, self._blocks - 1)
-        if self._children and self._posted < stop:
-            os.write(self._queue, struct.pack(f"={stop - self._posted}i", *range(self._posted, stop)))
-            self._posted = stop
+        """Queue the blocks of the rows below `stop` but the last block, or
+        with no child format them here.  While more than _LAG blocks per
+        child are then queued unformatted, claim the oldest queued block
+        and format it here, as long as the queue holds one: this never
+        waits for a child."""
+        if self._enqueue(stop // self.block_rows) and self._children:
+            lag = _LAG * len(self._children)
+            while np.count_nonzero(self._lengths[:self._posted] < 0) > lag:
+                k = _claim_now(self._claims)
+                if k is None:  # the children hold every queued block
+                    return
+                self._take(k)
+
+    def _enqueue(self, stop: int) -> bool:
+        """Queue the blocks below `stop` but the last block, or with no
+        child format them here; False when there was none to queue."""
+        stop = min(stop, self._blocks - 1)
+        if stop <= self._posted:
+            return False
+        start, self._posted = self._posted, stop
+        if self._children:
+            os.write(self._queue, struct.pack(f"={stop - start}i", *range(start, stop)))
+        else:
+            for k in range(start, stop):
+                self._take(k)
+        return True
 
     def commit(self) -> None:
         """Format the blocks left to this process, let every child write the
@@ -771,16 +859,15 @@ class FieldRows:
         one byte on the go pipe, sent once this process has formatted its
         share and every child has reported.  The rename comes only once
         every child has exited 0 and every block is marked written."""
-        self.post(self.grid.ny)
+        self._enqueue(self._blocks)
         os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
-        held = {}
         while (k := _claim(self._claims)) >= 0:
-            self._take(k, held)
+            self._take(k)
         for k in range(self._posted, self._blocks):  # never queued
-            self._take(k, held)
+            self._take(k)
         for _pid, report in self._children:
             os.read(report, 1)  # its lengths are in, or it is gone
-        self._write_held(held)
+        self._write_held(self._held)
         os.write(self._go, b"\0" * len(self._children))
         _reap(self._children)
         unwritten = np.flatnonzero(~self._written)
@@ -789,13 +876,30 @@ class FieldRows:
         os.replace(self._tmp, self.path)
         self._tmp = None
 
-    def _take(self, k: int, held: dict) -> None:
-        """Format block k, enter its length, and write every held block
-        whose place is known."""
-        text = _format_rows(self.values[k * self._rows:(k + 1) * self._rows])
+    def _take(self, k: int) -> None:
+        """Format block k, give its pages back, enter its length, and write
+        every held block whose place is known."""
+        lo, hi = k * self.block_rows, min((k + 1) * self.block_rows, self.grid.ny)
+        text = _format_rows(self.values[lo:hi])
+        self._release(lo, hi)
         self._lengths[k] = len(text)
-        held[k] = text
-        self._write_held(held)
+        self._held[k] = text
+        self._write_held(self._held)
+
+    def _release(self, lo: int, hi: int) -> None:
+        """Give the whole pages of rows lo to hi - 1 of `values` back to the
+        system, for every process that maps them; a page that other rows
+        share stays.  Nothing is released where mmap has no MADV_REMOVE or
+        the system refuses it."""
+        advice = getattr(mmap, "MADV_REMOVE", None)
+        if advice is None:
+            return
+        row, page = 8 * self.grid.nx, mmap.PAGESIZE
+        start = -(-lo * row // page) * page
+        end = hi * row // page * page if hi < self.grid.ny else len(self._map)
+        if start < end:
+            with contextlib.suppress(OSError):
+                self._map.madvise(advice, start, end - start)
 
     def _write_held(self, held: dict) -> None:
         """Write each block of `held` (index -> text) whose predecessors'
@@ -827,12 +931,11 @@ class FieldRows:
                     os.close(fd)
                 for _pid, fd in self._children:
                     os.close(fd)
-                held = {}
                 while (k := _claim(self._claims)) >= 0:
-                    self._take(k, held)
+                    self._take(k)
                 os.write(write_fd, b"\0")  # every length of its blocks is in
                 if os.read(self._wait, 1):
-                    self._write_held(held)
+                    self._write_held(self._held)
                     status = 0
             finally:
                 os._exit(status)
@@ -841,9 +944,21 @@ class FieldRows:
 
 
 def _claim(queue: int) -> int:
-    """The next block index on the queue, or -1 to stop; struct.error once
-    the queue's writer is gone."""
-    return _RECORD.unpack(os.read(queue, _RECORD.size))[0]
+    """The next block index on the queue, once it holds one, or -1 to stop;
+    struct.error once the queue's writer is gone.  The queue's read end
+    never blocks, so this waits in select and reads again when another
+    process took the record first."""
+    while (k := _claim_now(queue)) is None:
+        select.select([queue], [], [])
+    return k
+
+
+def _claim_now(queue: int) -> Optional[int]:
+    """The next record on the queue, or None when it holds none now."""
+    try:
+        return _RECORD.unpack(os.read(queue, _RECORD.size))[0]
+    except BlockingIOError:
+        return None
 
 
 def _pwrite(fd: int, data: bytes, offset: int) -> None:

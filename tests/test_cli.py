@@ -564,26 +564,27 @@ class TestPropagateCommand:
 
     def test_reference_and_write_stay_below_one_mesh_array(self, tmp_path, capsys, monkeypatch):
         # v lives in the rows' shared memory, which tracemalloc does not see.
-        # The reference is compared with v one block of rows at a time, and
-        # on one CPU this process writes each block as it formats it, so the
-        # traced peak stays below one mesh array (children: TestFieldRows).  Blocks of about 1,024 values keep one
-        # block's evaluation and formatting temporaries well below it: at the
-        # default 16,384 the formatter's alone are about 1.5 MB
+        # The march compares the reference with each block of v once it is
+        # final, and on one CPU this process formats and writes each block
+        # as soon as it is final, so the traced peak stays below one mesh
+        # array (children: TestFieldRows).  Blocks of about 1,024 values keep
+        # one block's evaluation and formatting temporaries well below it: at
+        # the default 16,384 the formatter's alone are about 1.5 MB
         monkeypatch.setattr(pp, "_BLOCK", 1 << 10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         grid = pp.Grid(401, 401, 0.0, 2.0, 0.0, 2.0)
         peaks = {}
 
         def traced(name, fn):
-            def spy(*args):
+            def spy(*args, **kwargs):
                 tracemalloc.reset_peak()
                 try:
-                    return fn(*args)
+                    return fn(*args, **kwargs)
                 finally:
                     peaks[name] = tracemalloc.get_traced_memory()[1]
             return spy
 
-        monkeypatch.setattr(pp, "sup_error", traced("sup_error", pp.sup_error))
+        monkeypatch.setattr(pp, "bt_propagate", traced("bt_propagate", pp.bt_propagate))
         monkeypatch.setattr(pp.FieldRows, "commit", traced("commit", pp.FieldRows.commit))
         tracemalloc.start()
         try:
@@ -598,8 +599,8 @@ class TestPropagateCommand:
             tracemalloc.stop()
         assert code == 0
         assert report["sup_error"] < 1e-6
-        assert sorted(peaks) == ["commit", "sup_error"]
-        assert max(peaks["sup_error"], peaks["commit"], whole) < 8 * grid.nx * grid.ny
+        assert sorted(peaks) == ["bt_propagate", "commit"]
+        assert max(peaks["bt_propagate"], peaks["commit"], whole) < 8 * grid.nx * grid.ny
 
     def test_ranged_parameter_is_runtime_error(self, tmp_path, capsys):
         text = SG_DEF.replace("lam = 1.0", "lam = [0.5, 2]")
@@ -731,6 +732,17 @@ class TestPropagateAbort:
         assert (rec["status"], rec["witness"]) == ("error", "propagated state diverged on the grid")
         assert captured.err == ""
 
+    def test_divergence_outranks_a_failing_reference(self, tmp_path, capsys, forks):
+        # the reference fails on its first block, the march diverges later
+        code, captured = self.propagate(tmp_path, capsys, self.DIVERGING_DEF,
+                                        "--grid", "5,41", "--domain", "0,1,0,2",
+                                        "--reference", "sqrt(x - 2)")
+        assert code == 1
+        assert len(forks) == 2
+        rec = json.loads(captured.out)["records"][0]
+        assert (rec["status"], rec["witness"]) == ("error", "propagated state diverged on the grid")
+        assert captured.err == ""
+
     def test_root_solve_error_in_the_column_sweep(self, tmp_path, capsys, monkeypatch, forks):
         rk4_step = pp._rk4_step
         columns = []
@@ -782,10 +794,11 @@ class TestPropagateAbort:
                                 "(x, y) = (0.7250000000000001, 0.0)\n")
 
     def test_interrupt(self, tmp_path, capsys, monkeypatch, forks):
+        # interrupted in the march, as the first block of v is compared
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pp, "sup_error", interrupted)
+        monkeypatch.setattr(pp.SupError, "add", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.propagate(tmp_path, capsys, SG_DEF, "--grid", "9,9", "--domain", "0,1,0,1",
                            "--reference", "0")

@@ -673,6 +673,33 @@ def test_constant_inside_a_positive_guard_raises(e, message):
         assert abs(run(e, {"x": 1.0}, 1e-8)) == pytest.approx(1e7)
 
 
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-2), Fraction(1, 10**7), Fraction(1, 3)])
+def test_constant_operand_checked_only_where_the_guard_reaches_it(monkeypatch, c):
+    # a nonzero constant c is compared with the guard in the compiled code,
+    # and its domain check runs only where guard > |c|: values and messages
+    # stay the walk's on both sides of |c|, and at 0, nan and inf
+    calls = []
+    for name in ("Div_domain", "Pow_domain"):
+        check = expr._SCOPE[name]
+        monkeypatch.setitem(expr._SCOPE, name, lambda x, guard, check=check: (calls.append(x),
+                                                                             check(x, guard)))
+    x = Var("x")
+    roots = (expr.Div(x + Var("y"), Const(c)), expr.Mul(x, expr.Pow(Const(c), -1)))
+    m = abs(float(c))
+    for guard in (0.0, -1.0, math.nan, m / 2, m, np.nextafter(m, np.inf), 2 * m, math.inf):
+        for e in roots:
+            calls.clear()
+            env = {"x": np.array([1.0, -3.0]), "y": 0.5}
+            got = _outcome(_run_compiled, (e,), env, guard)
+            want = _outcome(_walk_roots, (e,), env, None if guard == 0.0 else guard)
+            assert got[0] == want[0]
+            if got[0] == "value":
+                assert got[1][0].tobytes() == want[1][0].tobytes()
+            else:
+                assert got[1] == want[1]
+            assert len(calls) == (guard > m)
+
+
 def _distinct_nodes(e, seen=None):
     seen = set() if seen is None else seen
     if e not in seen:

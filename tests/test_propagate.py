@@ -159,6 +159,46 @@ class TestSupError:
                 pp.sup_error("exp(1000*(1 - y)) + sqrt(0.5 - y)", pp.Field(grid, np.zeros((9, 5))))
 
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("nx, ny", [(21, 21), (7, 61), (61, 7)])
+    @pytest.mark.parametrize("text", ["4*atan(exp(-lam*x - y/lam)) + x*y^3/1000", "0"])
+    def test_march_folds_the_reference_bitwise(self, tmp_path, monkeypatch, sg_bt, text, nx, ny,
+                                               cpus):
+        # bt_propagate compares each block of v with the reference once the
+        # block is final, in its own blocks or in the rows' blocks
+        monkeypatch.setattr(pp, "_BLOCK", 32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        grid = pp.Grid(nx, ny, 0.0, 1.0, -0.5, 1.0)
+        params = {"lam": 1.0}
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid, reference=text)
+        want = np.max(np.abs(plain.v.values - pp.sample_field(text, grid, params).values))
+        with pp.FieldRows(grid, str(tmp_path / "v.csv")) as rows:
+            assert rows._blocks > 1
+            streamed = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows, reference=text)
+            rows.commit()
+        assert_no_child_left()
+        assert pp.bt_propagate(sg_bt, "0", math.pi, grid).sup_error is None
+        for got in (plain.sup_error, streamed.sup_error, pp.sup_error(text, plain.v, params)):
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+
+    def test_march_raises_a_failing_block_before_a_lower_non_finite_one(self, monkeypatch, sg_bt):
+        monkeypatch.setattr(pp, "_BLOCK", 10)
+        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+                pp.bt_propagate(sg_bt, "0", math.pi, grid,
+                                reference="exp(1000*(1 - y)) + sqrt(0.5 - y)")
+
+    def test_march_failure_outranks_a_failing_reference(self):
+        # v_y = v^2 blows up near y = 1; the reference fails on every block
+        ch = bk.b_chart(params={"lam": 1.0})
+        diverging = bk.build_wavelike("p", "-q + v^2", ch, ch.sample_spec(count=16))
+        grid = pp.Grid(5, 41, 0.0, 1.0, 0.0, 2.0)
+        with np.errstate(over="ignore"), pytest.raises(pp.PropagationError, match="diverged"):
+            pp.bt_propagate(diverging, "0", 1.0, grid, reference="sqrt(x - 2)")
+
+
 class TestBTPropagate:
     def test_kink(self, sg_bt):
         grid = pp.Grid(201, 201, 0.0, 2.0, 0.0, 2.0)
@@ -1113,7 +1153,7 @@ class TestFieldRows:
             assert len(forks) == cpus - 1
             rows.commit()
         assert_no_child_left()
-        assert np.array_equal(res.v.values, plain.v.values)
+        assert res.v is None
         assert res.compatibility_residual == plain.compatibility_residual
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(plain.v)
@@ -1122,10 +1162,11 @@ class TestFieldRows:
     @pytest.mark.parametrize("march", ["tzitzeica", "bt"])
     def test_streamed_march_allocates_no_mesh_array(self, tmp_path, monkeypatch, sg_bt, march):
         # the shared array is an mmap, which tracemalloc does not see, and
-        # the march holds rows.  bt_propagate's Field checks v finite through
-        # one byte a node: the peaks read about 1.1 (tzitzeica) and 1.3 (bt)
-        # bytes a node, a mesh array 8
+        # the march holds rows.  With no child each block is formatted as
+        # soon as it is final, so blocks are kept small beside the mesh: a
+        # mesh array is 8 bytes a node
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(pp, "_BLOCK", 1 << 10)
         grid = pp.Grid(401, 401, 0.0, 0.5, 0.0, 0.5)
         with pp.FieldRows(grid, str(tmp_path / "f.csv")) as rows:
             tracemalloc.start()
@@ -1139,6 +1180,78 @@ class TestFieldRows:
                 tracemalloc.stop()
             rows.commit()
         assert peak < 8 * grid.nx * grid.ny
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("change", ["no lag", "no MADV_REMOVE"])
+    def test_bytes_whoever_formats_and_whatever_is_released(self, tmp_path, monkeypatch, forks,
+                                                            sg_bt, cpus, change):
+        # with _LAG = 0 this process claims every queued block it can as
+        # soon as it is posted; without MADV_REMOVE no page is given back
+        if change == "no lag":
+            monkeypatch.setattr(pp, "_LAG", 0)
+        else:
+            monkeypatch.delattr(mmap, "MADV_REMOVE", raising=False)
+        parent, marching, in_march = os.getpid(), [True], []
+        format_rows = pp._format_rows
+
+        def recording(block):
+            if os.getpid() == parent and marching[0]:
+                in_march.append(len(block))
+            return format_rows(block)
+
+        monkeypatch.setattr(pp, "_format_rows", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        grid = pp.Grid(31, 41, 0.0, 2.0, 0.0, 1.0)
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
+        path = str(tmp_path / "v.csv")
+        with pp.FieldRows(grid, path) as rows:
+            pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            marching[0] = False
+            rows.commit()
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        if change == "no lag":
+            assert in_march
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_csv(plain.v)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_shared_pages_stay_within_the_lag(self, tmp_path, monkeypatch, sg_bt, cpus):
+        # each block's whole pages are given back once it is formatted, and
+        # this process formats the oldest queued block while more than _LAG
+        # blocks per child wait (each at once with no child).  So at every
+        # post it keeps at most _LAG blocks per child, the block it fills and
+        # one more, and one page per block boundary.  Blocks of 11 rows and a
+        # lag of 2 keep that bound below half the mesh
+        def shmem_kb():
+            with open("/proc/self/status") as fh:
+                for line in fh:
+                    if line.startswith("RssShmem:"):
+                        return int(line.split()[1])
+            return None
+
+        if not hasattr(mmap, "MADV_REMOVE") or shmem_kb() is None:
+            pytest.skip("no MADV_REMOVE or no RssShmem here")
+        post, samples = pp.FieldRows.post, []
+
+        def sampling(rows, stop):
+            post(rows, stop)
+            samples.append(shmem_kb())
+
+        monkeypatch.setattr(pp.FieldRows, "post", sampling)
+        monkeypatch.setattr(pp, "_BLOCK", 1 << 12)
+        monkeypatch.setattr(pp, "_LAG", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        grid = pp.Grid(401, 401, 0.0, 0.5, 0.0, 0.5)
+        with pp.FieldRows(grid, str(tmp_path / "v.csv")) as rows:
+            base = shmem_kb()
+            pp.bt_propagate(sg_bt, KINK_SEED, 0.0, grid, rows=rows)
+            rows.commit()
+        block = 8 * grid.nx * rows.block_rows
+        bound = (pp._LAG * (cpus - 1) + 2) * block + rows._blocks * mmap.PAGESIZE
+        assert len(samples) == rows._blocks
+        assert bound < 8 * grid.nx * grid.ny / 2
+        assert max(samples) - base <= bound / 1024
 
     def test_rows_claimed_by_both_processes(self, tmp_path, monkeypatch, forks, sg_bt):
         # a slow parent leaves most queued rows to the child, so the two
@@ -1156,15 +1269,16 @@ class TestFieldRows:
         monkeypatch.setattr(pp, "_format_rows", slow)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(31, 41, 0.0, 2.0, 0.0, 1.0)
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
-            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert 0 < len(in_parent) < grid.ny
         with open(path, "rb") as fh:
-            assert fh.read() == reference_csv(res.v)
+            assert fh.read() == reference_csv(plain.v)
 
     def test_parent_keeps_the_last_partial_block(self, tmp_path, monkeypatch, forks, sg_bt):
         # 2000 values a row and 2 readers give blocks of 2 rows, so that the
@@ -1181,16 +1295,17 @@ class TestFieldRows:
         monkeypatch.setattr(pp, "_format_rows", recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(2000, 23, 0.0, 2.0, 0.0, 1.0)
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
-            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert in_parent and all(len(block) in (1, 2) for block in in_parent)
-        assert any(np.array_equal(block, res.v.values[-1:]) for block in in_parent)
+        assert any(np.array_equal(block, plain.v.values[-1:]) for block in in_parent)
         with open(path, "rb") as fh:
-            assert fh.read() == reference_csv(res.v)
+            assert fh.read() == reference_csv(plain.v)
 
     def test_dead_children_with_the_longest_queue_fail(self, tmp_path, monkeypatch, forks):
         # blocks of one row would be 40,000 records; the queue is given 999
@@ -1287,16 +1402,17 @@ class TestFieldRows:
         monkeypatch.setattr(pp.FieldRows, "commit", traced)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(301, 401, 0.0, 2.0, 0.0, 1.0)
+        plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
-            res = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+            pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             assert rows._blocks > 100
             rows.commit()
         assert len(forks) == 1
         assert_no_child_left()
         assert in_parent
         with open(path, "rb") as fh:
-            assert fh.read() == reference_csv(res.v)
+            assert fh.read() == reference_csv(plain.v)
         assert max(peaks) < 2 * rows._lengths.max()
 
     @pytest.mark.parametrize("death", ["killed", "exit status 0"])
