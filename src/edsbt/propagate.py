@@ -21,18 +21,19 @@ accuracy exactly when the seed solves its PDE.  Then each final row is
 handed on: v is stored, and h' is made, counted and folded into its own
 residual three rows at a time.
 
-v or h' can be written into a FieldRows, whose forked children take blocks of
-final rows from a queue that never fills and format them as CSV
-text while the march and the residual run; the march's own process
-formats the oldest queued block whenever the children fall behind.
+v or h' can be written into a FieldRows, which queues every block of
+final rows on a queue that never fills; its forked children take blocks
+from it and format them as CSV text while the march and the residual
+run, and the march's own process formats the oldest queued block
+whenever the children fall behind, or every block with no child.
 Every process that formats a block gives the block's pages back to the
 system, enters its length in a shared table and writes it into the
 output file at its offset once the lengths before it are known, so no
 process holds more than the blocks still waiting for those lengths.
 The text is repr's, found exactly for a whole block at once from half
 an ulp either side of each value.  A reference solution is compared
-with v one block of final rows at a time (SupError), before the block
-is queued.
+with v one block of final rows at a time (SupError), in blocks set by
+the grid alone, before the block is queued.
 """
 
 from __future__ import annotations
@@ -144,52 +145,29 @@ class Field:
         return 0 if self.singular is None else int(self.singular.sum())
 
 
-def _sampler(e, grid: Grid, params: Optional[dict] = None):
-    """rows(j, stop): an expression in x, y evaluated pointwise on rows j
-    to stop - 1 of the grid, on their own np.meshgrid, so that the values
-    are bitwise the whole mesh's whatever rows are asked for."""
-    value = ex.compile((ex.as_expr(e, ("x", "y"), tuple(params or ())),))
-    env = dict(params or {})
-    xs, ys = grid.xs(), grid.ys()
-
-    def rows(j, stop):
-        env["x"], env["y"] = np.meshgrid(xs, ys[j:stop])
-        return _full(value(env, 0.0)[0], env["x"].shape)
-
-    return rows
-
-
-def _sample_step(grid: Grid) -> int:
-    """Rows per block of about _BLOCK values, the last block short."""
-    return max(1, _BLOCK // grid.nx)
-
-
-def sample_field(e, grid: Grid, params: Optional[dict] = None) -> Field:
-    """Pointwise evaluation of an expression in x, y over the grid."""
-    rows, step = _sampler(e, grid, params), _sample_step(grid)
-    vals = np.empty((grid.ny, grid.nx))
-    for j in range(0, grid.ny, step):
-        vals[j:j + step] = rows(j, j + step)
-    return Field(grid, vals)
-
-
 class SupError:
     """max |v - e| over the grid for a finite v and a reference expression
     e in x, y, folded in one block of consecutive rows of v at a time, so
-    that no array of the grid's size is built.  A block whose evaluation
-    raises is held, and no later block is evaluated; result() raises it,
-    or else names the lowest node where e is not finite."""
+    that no array of the grid's size is built.  e is evaluated pointwise
+    on each block's own np.meshgrid, so its values are bitwise the whole
+    mesh's whatever the blocks.  A block whose evaluation raises is held,
+    and no later block is evaluated; result() raises it, or else names
+    the lowest node where e is not finite."""
 
     def __init__(self, e, grid: Grid, params: Optional[dict] = None):
-        self.grid, self._rows = grid, _sampler(e, grid, params)
+        self.grid, self._xs, self._ys = grid, grid.xs(), grid.ys()
+        self._value = ex.compile((ex.as_expr(e, ("x", "y"), tuple(params or ())),))
+        self._env = dict(params or {})
         self._worst, self._bad, self._failure = 0.0, None, None
 
     def add(self, j: int, v_rows: np.ndarray) -> None:
         """Fold in v_rows, the rows of v from row j on."""
         if self._failure is not None:
             return
+        env = self._env
+        env["x"], env["y"] = np.meshgrid(self._xs, self._ys[j:j + len(v_rows)])
         try:
-            block = self._rows(j, j + len(v_rows))
+            block = _full(self._value(env, 0.0)[0], env["x"].shape)
         except Exception as err:  # held: a failing march raises its own error first
             self._failure = err
             return
@@ -207,17 +185,8 @@ class SupError:
         if self._bad is not None:
             j, i, value = self._bad
             raise ValueError(f"the reference is {value!r} at node i={i}, j={j}, (x, y) = "
-                             f"({float(self.grid.xs()[i])!r}, {float(self.grid.ys()[j])!r})")
+                             f"({float(self._xs[i])!r}, {float(self._ys[j])!r})")
         return float(self._worst)
-
-
-def sup_error(e, v: Field, params: Optional[dict] = None) -> float:
-    """max |v - e| over the grid for a finite field v, by SupError over
-    the blocks of sample_field."""
-    fold, step = SupError(e, v.grid, params), _sample_step(v.grid)
-    for j in range(0, v.grid.ny, step):
-        fold.add(j, v.values[j:j + step])
-    return fold.result()
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +427,9 @@ def bt_propagate(
     `rows`, v is marched into its shared array, which starts formatting
     each block of rows of v as the march finishes it, and the result's v
     is None.  A `reference` expression in x, y is compared with each
-    block of v once the block is final (SupError); its failures are
-    raised only once the march has passed.
+    block of v once the block is final (SupError), in blocks set by the
+    grid alone, so that which of its failures is raised does not depend
+    on the CPU count; they are raised only once the march has passed.
     """
     _require_interior(grid)
     params = _fixed_params(bt.chart)
@@ -516,18 +486,18 @@ def bt_propagate(
         return v_x(env, ux(env, 0.0)[0], np.gradient(v, grid.hx) if split is None else None)
 
     V = np.empty((grid.ny, grid.nx)) if rows is None else rows.values
-    step = _sample_step(grid) if rows is None else rows.block_rows
+    step = _block_rows(grid.ny, grid.nx, 1)  # the reference's blocks: the grid's alone
     fold = None if reference is None else SupError(reference, grid, params)
 
     def on_row(j, v):
         V[j] = v
-        if (j + 1) % step and j + 1 < grid.ny:
-            return
-        if fold is not None:  # the block that row j ends is final
-            start = j - j % step
+        if fold is not None:
+            if (j + 1) % step and j + 1 < grid.ny:
+                return
+            start = j - j % step  # the block that row j ends is final
             fold.add(start, V[start:j + 1])
         if rows is not None:
-            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
+            rows.post(j + 1)  # rows 0..j are final, and compared with the reference
 
     residual = _march(along_row, up_columns, p_row, on_row, v0, grid)
     return BTPropagation(None if rows is not None else Field(grid, V), float(residual),
@@ -702,7 +672,7 @@ def tzitzeica_propagate(
             A[j], B[j], Hp[j], mask[j] = a, b, hp, sing
         else:
             rows.values[j] = np.where(sing, np.nan, hp)
-            rows.post(j + 1)  # rows 0..j are final; the last block is never queued
+            rows.post(j + 1)  # rows 0..j are final
 
     alpha_c, beta_c = _march(along_row, up_columns, p_row, on_row, (alpha0, beta0), grid)
     if rows is None:
@@ -730,9 +700,11 @@ _LAG = 16  # blocks per child queued unformatted before the posting process form
 
 def _block_rows(ny: int, nx: int, readers: int) -> int:
     """Rows per FieldRows block: about _BLOCK values, at least four blocks
-    per reader where rows allow, and so few blocks that all the queue is
-    ever given (every block but the last, and a stop per reader) fits in
-    PIPE_BUF bytes, which a pipe always holds: no write to it waits."""
+    per reader where rows allow, and at most _QUEUE - readers blocks, so
+    that all the queue is ever given (every block, and a stop per reader)
+    fits in PIPE_BUF bytes, which a pipe always holds: no write to it
+    waits.  With one reader these are also the blocks in which
+    bt_propagate compares v with its reference, whatever the CPU count."""
     return max(-(-ny // (_QUEUE - readers)), min(-(-_BLOCK // nx), ny // (4 * readers)))
 
 
@@ -746,20 +718,20 @@ class FieldRows:
     process may run on (at most one per row).  The children claim block
     indices from a queue, a pipe of 4-byte records whose read end never
     blocks, so a child waits in select; post(stop) queues the blocks of
-    the rows below `stop` once they are final, and this process formats
-    the oldest queued block itself whenever more than _LAG blocks per
-    child wait unformatted, or each block at once with no child.
-    commit() formats what is left here.  Whoever formats a block gives
-    the block's whole pages of `values` back to the system (MADV_REMOVE,
-    which frees them for every process), so a row of `values` is
-    undefined once its block is formatted; a page shared by two blocks
-    stays until the commit.  It then enters the block's length in a
+    the rows below `stop` once they are final, the last block included,
+    and this process claims the oldest queued block and formats it itself
+    whenever more than _LAG blocks per child wait unformatted, so each
+    block at once with no child.  commit() queues a stop record per
+    process and formats here whatever is left.  Whoever formats a block
+    gives the block's whole pages of `values` back to the system
+    (MADV_REMOVE, which frees them for every process), so a row of
+    `values` is undefined once its block is formatted; a page shared by
+    two blocks stays until the commit.  It then enters the block's length in a
     shared table, -1 until then, and writes the block at the header's
     length plus the lengths before it once those are all known, holding
     it until then (_write_held).  Only queue records and single signal
-    bytes cross a pipe.  The last block is never queued, so that this
-    process formats at least one.  A march fills `values` and posts its
-    rows as they are final; write_field_csv copies a whole field in.
+    bytes cross a pipe.  A march fills `values` and posts its rows as
+    they are final; write_field_csv copies a whole field in.
     Leaving the `with` block without a commit kills and reaps every child
     and removes the .tmp; a child whose queue closes because this process
     died exits at once.
@@ -825,49 +797,38 @@ class FieldRows:
             self._tmp = None
 
     def post(self, stop: int) -> None:
-        """Queue the blocks of the rows below `stop` but the last block, or
-        with no child format them here.  While more than _LAG blocks per
-        child are then queued unformatted, claim the oldest queued block
-        and format it here, as long as the queue holds one: this never
-        waits for a child."""
-        if self._enqueue(stop // self.block_rows) and self._children:
-            lag = _LAG * len(self._children)
-            while np.count_nonzero(self._lengths[:self._posted] < 0) > lag:
-                k = _claim_now(self._claims)
-                if k is None:  # the children hold every queued block
-                    return
-                self._take(k)
-
-    def _enqueue(self, stop: int) -> bool:
-        """Queue the blocks below `stop` but the last block, or with no
-        child format them here; False when there was none to queue."""
-        stop = min(stop, self._blocks - 1)
+        """Queue the whole blocks of the rows below `stop`, and every block
+        once `stop` reaches ny.  While more than _LAG blocks per child are
+        then queued unformatted, claim the oldest queued block and format
+        it here, as long as the queue holds one: this never waits for a
+        child, and with no child it formats every block it queues."""
+        stop = stop // self.block_rows if stop < self.grid.ny else self._blocks
         if stop <= self._posted:
-            return False
-        start, self._posted = self._posted, stop
-        if self._children:
-            os.write(self._queue, struct.pack(f"={stop - start}i", *range(start, stop)))
-        else:
-            for k in range(start, stop):
-                self._take(k)
-        return True
+            return
+        os.write(self._queue, struct.pack(f"={stop - self._posted}i", *range(self._posted, stop)))
+        self._posted = stop
+        lag = _LAG * len(self._children)
+        while np.count_nonzero(self._lengths[:stop] < 0) > lag:
+            k = _claim_now(self._claims)
+            if k is None:  # the children hold every queued block
+                return
+            self._take(k)
 
     def commit(self) -> None:
-        """Format the blocks left to this process, let every child write the
-        blocks it still holds, and rename the .tmp to `path`.  Each child,
-        at its stop record, reports that its lengths are in and waits for
-        one byte on the go pipe, sent once this process has formatted its
-        share and every child has reported.  The rename comes only once
-        every child has exited 0 and every block is marked written."""
-        self._enqueue(self._blocks)
+        """Queue every block and a stop record per process, format here the
+        blocks left on the queue, let every child write the blocks it still
+        holds, and rename the .tmp to `path`.  Each child, at its stop
+        record, reports that its lengths are in and waits for one byte on
+        the go pipe, sent once this process has formatted its share and
+        every child has reported.  The rename comes only once every child
+        has exited 0 and every block is marked written."""
+        self.post(self.grid.ny)
         os.write(self._queue, _RECORD.pack(-1) * (len(self._children) + 1))
         while (k := _claim(self._claims)) >= 0:
             self._take(k)
-        for k in range(self._posted, self._blocks):  # never queued
-            self._take(k)
         for _pid, report in self._children:
             os.read(report, 1)  # its lengths are in, or it is gone
-        self._write_held(self._held)
+        self._write_held()
         os.write(self._go, b"\0" * len(self._children))
         _reap(self._children)
         unwritten = np.flatnonzero(~self._written)
@@ -884,7 +845,7 @@ class FieldRows:
         self._release(lo, hi)
         self._lengths[k] = len(text)
         self._held[k] = text
-        self._write_held(self._held)
+        self._write_held()
 
     def _release(self, lo: int, hi: int) -> None:
         """Give the whole pages of rows lo to hi - 1 of `values` back to the
@@ -901,10 +862,10 @@ class FieldRows:
             with contextlib.suppress(OSError):
                 self._map.madvise(advice, start, end - start)
 
-    def _write_held(self, held: dict) -> None:
-        """Write each block of `held` (index -> text) whose predecessors'
-        lengths are all known, at the header's length plus their sum, and
-        drop it."""
+    def _write_held(self) -> None:
+        """Write each held block whose predecessors' lengths are all known,
+        at the header's length plus their sum, and drop it."""
+        held = self._held
         for k in sorted(held):
             before = self._lengths[:k]
             if k and before.min() < 0:
@@ -935,7 +896,7 @@ class FieldRows:
                     self._take(k)
                 os.write(write_fd, b"\0")  # every length of its blocks is in
                 if os.read(self._wait, 1):
-                    self._write_held(self._held)
+                    self._write_held()
                     status = 0
             finally:
                 os._exit(status)

@@ -782,6 +782,20 @@ class TestPropagateAbort:
         assert captured.out == ""
         assert captured.err == "edsbt: sqrt of a negative\n"
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_reference_reads_the_same_at_every_cpu_count(self, tmp_path, capsys,
+                                                                 monkeypatch, cpus):
+        # ln fails on the rows up to y = 0.05 and sqrt from y = 0.15 on; the
+        # reference's blocks are set by the grid alone, and its first block
+        # of 15 rows holds both failures, of which sqrt's is raised
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        code, captured = self.propagate(tmp_path, capsys, SG_DEF, "--grid", "61,61",
+                                        "--domain", "0,1,0,1",
+                                        "--reference", "sqrt(0.15 - y) + ln(y - 0.05)")
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "edsbt: sqrt of a negative\n"
+
     def test_reference_that_overflows(self, tmp_path, capsys, forks):
         # exp(1000*x) overflows from x = 0.725 on: the message names the
         # reference and its lowest non-finite node

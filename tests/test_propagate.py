@@ -36,10 +36,25 @@ def sg_bt():
     return bk.build_wavelike(SG_F, SG_G, ch, ch.sample_spec(count=16))
 
 
+def mesh_values(text, grid, params=None):
+    """A closed form in x, y evaluated over the whole mesh at once: the
+    oracle that SupError's blocks must match bitwise."""
+    params = dict(params or {})
+    X, Y = grid.mesh()
+    value = ex.evaluate(ex.parse(text, ("x", "y"), tuple(params)), {**params, "x": X, "y": Y})
+    return np.broadcast_to(value, X.shape)
+
+
 def kink_field(grid, lam=1.0):
-    return pp.sample_field(
-        "4*atan(exp(-lam*x - y/lam))", grid, params={"lam": lam}
-    )
+    return pp.Field(grid, mesh_values("4*atan(exp(-lam*x - y/lam))", grid, {"lam": lam}))
+
+
+def folded_sup(text, v, params=None, step=1):
+    """max |v - text| by SupError, given the field v in blocks of `step` rows."""
+    fold = pp.SupError(text, v.grid, params)
+    for j in range(0, v.grid.ny, step):
+        fold.add(j, v.values[j:j + step])
+    return fold.result()
 
 
 class TestGrid:
@@ -90,51 +105,37 @@ class TestField:
         assert f.singular_count == 1
 
 
-class TestSampleField:
-    def test_zero(self):
-        g = pp.Grid(4, 4, 0.0, 1.0, 0.0, 1.0)
-        assert np.array_equal(pp.sample_field("0", g).values, np.zeros((4, 4)))
-
-    def test_kink_corner(self):
-        g = pp.Grid(3, 3, 0.0, 2.0, 0.0, 2.0)
-        f = pp.sample_field("4*atan(exp(-x-y))", g)
-        assert f.values[0, 0] == pytest.approx(math.pi, rel=1e-15)
-
-    def test_unit_seed(self):
-        g = pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0)
-        assert np.array_equal(pp.sample_field("1", g).values, np.ones((3, 3)))
-
-    def test_params(self):
-        g = pp.Grid(3, 2, 0.0, 1.0, 0.0, 1.0)
-        f = pp.sample_field("a*x", g, params={"a": 2.0})
-        assert f.values[0, 2] == 2.0
-
-    def test_domain_error(self):
-        g = pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ex.DomainError):
-            pp.sample_field("1/x", g)
-
-    def test_blocks_match_the_mesh(self, monkeypatch):
-        monkeypatch.setattr(pp, "_BLOCK", 3 * 7)  # three rows per block, the last one short
-        grid = pp.Grid(7, 11, -1.0, 1.0, 0.3, 1.9)
-        text = "x*y^3 + sin(y)^3 + a*exp(x - y)"
-        X, Y = grid.mesh()
-        want = ex.evaluate(ex.parse(text, ("x", "y"), ("a",)), {"a": 0.7, "x": X, "y": Y})
-        assert np.array_equal(pp.sample_field(text, grid, params={"a": 0.7}).values, want)
-
-
 class TestSupError:
-    """sup_error folds max |v - e| block by block, to the whole mesh's value."""
+    """SupError folds max |v - e| block by block, to the whole mesh's value."""
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 14])
+    @pytest.mark.parametrize("step", [1, 3, 11])  # rows per block; 3 leaves the last one short
+    @pytest.mark.parametrize("text, params", [
+        ("0", None), ("1", None), ("4*atan(exp(-x-y))", None), ("a*x", {"a": 2.0}),
+        ("x*y^3 + sin(y)^3 + a*exp(x - y)", {"a": 0.7}),
+    ])
+    def test_blocks_match_the_mesh(self, text, params, step):
+        # v is the mesh's own values, so a sup of zero means every block
+        # evaluated the reference bitwise as the whole mesh does
+        grid = pp.Grid(7, 11, -1.0, 1.0, 0.3, 1.9)
+        v = pp.Field(grid, mesh_values(text, grid, params))
+        assert folded_sup(text, v, params, step) == 0.0
+
+    def test_domain_error_is_held_until_the_result(self):
+        grid = pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0)
+        fold = pp.SupError("1/x", grid)
+        fold.add(0, np.zeros((2, 3)))
+        fold.add(2, np.zeros((1, 3)))
+        with pytest.raises(ex.DomainError):
+            fold.result()
+
+    @pytest.mark.parametrize("step", [1, 2, 5, 17])
     @pytest.mark.parametrize("text", ["4*atan(exp(-lam*x - y/lam)) + x*y^3/1000", "lam", "0"])
-    def test_bitwise_the_mesh_value(self, monkeypatch, sg_bt, text, block):
+    def test_bitwise_the_mesh_value(self, sg_bt, text, step):
         grid = pp.Grid(23, 17, 0.0, 1.0, -0.5, 1.0)
         v = pp.bt_propagate(sg_bt, "0", math.pi, grid).v
         params = {"lam": 1.0}
-        want = np.max(np.abs(v.values - pp.sample_field(text, grid, params).values))
-        monkeypatch.setattr(pp, "_BLOCK", block)
-        got = pp.sup_error(text, v, params)
+        want = np.max(np.abs(v.values - mesh_values(text, grid, params)))
+        got = folded_sup(text, v, params, step)
         assert type(got) is float
         assert got.hex() == float(want).hex()
 
@@ -142,21 +143,20 @@ class TestSupError:
         ("exp(1000*x)", r"inf at node i=3, j=0, \(x, y\) = \(0\.75, 0\.0\)"),
         ("exp(1000*y) - 3*exp(999*y)", r"nan at node i=0, j=6, \(x, y\) = \(0\.0, 0\.75\)"),
     ])
-    def test_non_finite_reference_names_its_lowest_node(self, monkeypatch, text, message):
-        monkeypatch.setattr(pp, "_BLOCK", 10)  # two rows of five per block
+    def test_non_finite_reference_names_its_lowest_node(self, text, message):
         grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"^the reference is {message}$"):
-                pp.sup_error(text, pp.Field(grid, np.zeros((9, 5))))
+                folded_sup(text, pp.Field(grid, np.zeros((9, 5))), step=2)
 
-    def test_a_failing_block_outranks_a_lower_non_finite_one(self, monkeypatch):
+    def test_a_failing_block_outranks_a_lower_non_finite_one(self):
         # exp overflows on the first rows and sqrt fails from y = 0.625 on:
         # the non-finite values are reported only once every block is evaluated
-        monkeypatch.setattr(pp, "_BLOCK", 10)
         grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
         with np.errstate(over="ignore"):
             with pytest.raises(ex.DomainError, match="sqrt of a negative"):
-                pp.sup_error("exp(1000*(1 - y)) + sqrt(0.5 - y)", pp.Field(grid, np.zeros((9, 5))))
+                folded_sup("exp(1000*(1 - y)) + sqrt(0.5 - y)", pp.Field(grid, np.zeros((9, 5))),
+                           step=2)
 
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -165,20 +165,20 @@ class TestSupError:
     def test_march_folds_the_reference_bitwise(self, tmp_path, monkeypatch, sg_bt, text, nx, ny,
                                                cpus):
         # bt_propagate compares each block of v with the reference once the
-        # block is final, in its own blocks or in the rows' blocks
+        # block is final, in the grid's blocks with or without rows
         monkeypatch.setattr(pp, "_BLOCK", 32)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         grid = pp.Grid(nx, ny, 0.0, 1.0, -0.5, 1.0)
         params = {"lam": 1.0}
         plain = pp.bt_propagate(sg_bt, "0", math.pi, grid, reference=text)
-        want = np.max(np.abs(plain.v.values - pp.sample_field(text, grid, params).values))
+        want = np.max(np.abs(plain.v.values - mesh_values(text, grid, params)))
         with pp.FieldRows(grid, str(tmp_path / "v.csv")) as rows:
             assert rows._blocks > 1
             streamed = pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows, reference=text)
             rows.commit()
         assert_no_child_left()
         assert pp.bt_propagate(sg_bt, "0", math.pi, grid).sup_error is None
-        for got in (plain.sup_error, streamed.sup_error, pp.sup_error(text, plain.v, params)):
+        for got in (plain.sup_error, streamed.sup_error):
             assert type(got) is float
             assert got.hex() == float(want).hex()
 
@@ -189,6 +189,25 @@ class TestSupError:
             with pytest.raises(ex.DomainError, match="sqrt of a negative"):
                 pp.bt_propagate(sg_bt, "0", math.pi, grid,
                                 reference="exp(1000*(1 - y)) + sqrt(0.5 - y)")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_reference_raises_the_same_at_every_cpu_count(self, tmp_path, monkeypatch,
+                                                                  sg_bt, cpus):
+        # ln fails on the rows up to y = 0.05 and sqrt from y = 0.15 on, and
+        # a block that holds both raises sqrt's failure.  The reference is
+        # compared in the grid's blocks, 15 rows here, with or without rows;
+        # the rows' own blocks would be 7 rows at two CPUs and 5 at three
+        grid = pp.Grid(61, 61, 0.0, 1.0, 0.0, 1.0)
+        text = "sqrt(0.15 - y) + ln(y - 0.05)"
+        with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+            pp.bt_propagate(sg_bt, "0", math.pi, grid, reference=text)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        with pp.FieldRows(grid, str(tmp_path / "v.csv")) as rows:
+            assert rows.block_rows == {1: 15, 2: 7, 3: 5}[cpus]
+            with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+                pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows, reference=text)
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
 
     def test_march_failure_outranks_a_failing_reference(self):
         # v_y = v^2 blows up near y = 1; the reference fails on every block
@@ -371,7 +390,7 @@ class TestWavelikeResidual:
     def test_bilinear_exact(self):
         # exactly representable spacing makes the stencil algebra exact
         grid = pp.Grid(5, 5, 0.0, 2.0, 0.0, 2.0)
-        rep = pp.wavelike_residual(pp.sample_field("x*y", grid), "0")
+        rep = pp.wavelike_residual(pp.Field(grid, mesh_values("x*y", grid)), "0")
         assert rep.max_residual == 1.0
 
     def test_second_order_convergence(self):
@@ -777,15 +796,17 @@ class TestFailurePrecedence:
         with pytest.raises(ex.DomainError, match="division by zero"):
             pp.bt_propagate(bt, "0", 1.0, grid)
 
-    def test_lower_sample_block_wins(self, monkeypatch):
-        # sqrt(0.5 - y) fails on the upper rows and ln(y) on the first; over
-        # the whole mesh sqrt's failure was found first
-        monkeypatch.setattr(pp, "_BLOCK", 10)  # two rows of five per block
-        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+    def test_lower_sample_block_wins(self):
+        # sqrt(0.5 - y) fails on the upper rows and ln(y) on the first: in
+        # blocks of two rows the lowest failing block's error is raised, and
+        # over the whole mesh at once sqrt's failure is found first
+        v = pp.Field(pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0), np.zeros((9, 5)))
         with pytest.raises(ex.DomainError, match="ln argument"):
-            pp.sample_field("sqrt(0.5 - y) + ln(y)", grid)
+            folded_sup("sqrt(0.5 - y) + ln(y)", v, step=2)
         with pytest.raises(ex.DomainError, match="sqrt of a negative"):
-            pp.sample_field("sqrt(0.5 - y) + ln(y + 1)", grid)
+            folded_sup("sqrt(0.5 - y) + ln(y)", v, step=9)
+        with pytest.raises(ex.DomainError, match="sqrt of a negative"):
+            folded_sup("sqrt(0.5 - y) + ln(y + 1)", v, step=2)
 
 
 class TestSeedTermReuse:
@@ -876,6 +897,40 @@ def forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def claim_gate(monkeypatch):
+    """pp._claim with one side claiming first: gate("parent") lets the
+    children claim only once this process has claimed a record, and
+    gate("children") lets this process claim only once two children have."""
+    parent, claim = os.getpid(), pp._claim
+    gate, opened = os.pipe()
+    waiting = [2]  # children yet to claim
+
+    def first_in_parent(queue):
+        if os.getpid() != parent:
+            select.select([gate], [], [], 30)
+            return claim(queue)
+        k = claim(queue)
+        os.write(opened, b"\0")
+        return k
+
+    def first_in_children(queue):
+        if os.getpid() != parent:
+            k = claim(queue)
+            os.write(opened, b"\0")
+            return k
+        while waiting[0] and select.select([gate], [], [], 30)[0]:
+            waiting[0] -= len(os.read(gate, waiting[0]))
+        return claim(queue)
+
+    def set_first(side):
+        monkeypatch.setattr(pp, "_claim", first_in_parent if side == "parent" else first_in_children)
+
+    yield set_first
+    os.close(gate)
+    os.close(opened)
 
 
 def repr_rows(block):
@@ -1083,10 +1138,12 @@ class TestFieldCSV:
 
     @pytest.mark.parametrize("fail_in_child", [True, False])
     def test_failed_block_leaves_no_file_and_no_child(
-        self, tmp_path, monkeypatch, forks, fail_in_child
+        self, tmp_path, monkeypatch, forks, claim_gate, fail_in_child
     ):
         # each child claims at least its stop record, and this process
-        # formats at least the last block
+        # claims first where it is to fail, so that it formats the first block
+        if not fail_in_child:
+            claim_gate("parent")
         parent = os.getpid()
         name = "_claim" if fail_in_child else "_format_rows"
         real = getattr(pp, name)
@@ -1249,7 +1306,7 @@ class TestFieldRows:
             rows.commit()
         block = 8 * grid.nx * rows.block_rows
         bound = (pp._LAG * (cpus - 1) + 2) * block + rows._blocks * mmap.PAGESIZE
-        assert len(samples) == rows._blocks
+        assert len(samples) == grid.ny + 1  # a post per row without a reference, and commit's
         assert bound < 8 * grid.nx * grid.ny / 2
         assert max(samples) - base <= bound / 1024
 
@@ -1280,35 +1337,49 @@ class TestFieldRows:
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(plain.v)
 
-    def test_parent_keeps_the_last_partial_block(self, tmp_path, monkeypatch, forks, sg_bt):
-        # 2000 values a row and 2 readers give blocks of 2 rows, so that the
-        # last of the 23 rows is a block of its own, which is never queued
-        parent = os.getpid()
-        format_rows = pp._format_rows
-        in_parent = []
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_block_goes_through_the_queue(self, tmp_path, monkeypatch, forks, sg_bt, cpus):
+        # 2000 values a row give blocks of 6, 3 and 2 rows at one, two and
+        # three readers, so that the last of the 25 rows is a block of its
+        # own.  Every block, that one included, is claimed from the queue
+        # exactly once, whichever process claims it
+        claimed = np.frombuffer(mmap.mmap(-1, 8 * 25), np.int64)  # claims per block index
+        claim_now = pp._claim_now
 
-        def recording(block):
-            if os.getpid() == parent:
-                in_parent.append(block.copy())
-            return format_rows(block)
+        def counting(queue):
+            k = claim_now(queue)
+            if k is not None and k >= 0:
+                claimed[k] += 1
+            return k
 
-        monkeypatch.setattr(pp, "_format_rows", recording)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        grid = pp.Grid(2000, 23, 0.0, 2.0, 0.0, 1.0)
+        monkeypatch.setattr(pp, "_claim_now", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        grid = pp.Grid(2000, 25, 0.0, 2.0, 0.0, 1.0)
         plain = pp.bt_propagate(sg_bt, "0", math.pi, grid)
         path = str(tmp_path / "v.csv")
         with pp.FieldRows(grid, path) as rows:
+            assert rows.block_rows == {1: 6, 2: 3, 3: 2}[cpus]
             pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
             rows.commit()
-        assert len(forks) == 1
+        assert len(forks) == cpus - 1
         assert_no_child_left()
-        assert in_parent and all(len(block) in (1, 2) for block in in_parent)
-        assert any(np.array_equal(block, plain.v.values[-1:]) for block in in_parent)
+        assert claimed.tolist() == [1] * rows._blocks + [0] * (25 - rows._blocks)
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(plain.v)
 
+    def test_all_the_queue_is_given_fits_in_pipe_buf(self):
+        # every block and a stop record per reader, at the heights where
+        # the block count is at its largest
+        queue = select.PIPE_BUF // 4
+        for readers in range(1, 65):
+            for nx in (1, 1601):
+                for ny in [k * (queue - r) + d for k in (1, 2, 979) for r in (1, 2, readers, 64)
+                           for d in (-1, 0, 1)]:
+                    if readers <= ny:
+                        assert -(-ny // pp._block_rows(ny, nx, readers)) + readers <= queue
+
     def test_dead_children_with_the_longest_queue_fail(self, tmp_path, monkeypatch, forks):
-        # blocks of one row would be 40,000 records; the queue is given 999
+        # blocks of one row would be 40,000 records; the queue is given 1000
         # blocks and 3 stops, and no write to it waits for the dead children
         parent = os.getpid()
         format_rows = pp._format_rows
@@ -1455,40 +1526,27 @@ class TestFieldRows:
         assert_no_child_left()
 
     @pytest.mark.parametrize("short_in_child", [True, False])
-    def test_short_write_fails_the_write(self, tmp_path, monkeypatch, forks, short_in_child):
+    def test_short_write_fails_the_write(self, tmp_path, monkeypatch, forks, claim_gate,
+                                         short_in_child):
         # a block written in part, as a full disk can leave it, is a failure
-        # whichever process wrote it.  This process claims only once both
-        # children have, so that each child has a block to write
+        # whichever process wrote it.  The side that writes short claims
+        # first, so that it has a block to write: both children, or this
+        # process, the first block
         parent = os.getpid()
-        pwrite, claim = os.pwrite, pp._claim
-        claims, claimed = os.pipe()
-        waiting = [2]
+        pwrite = os.pwrite
 
         def short(fd, data, offset):
             if offset and (os.getpid() != parent) == short_in_child:
                 return pwrite(fd, data[:-1], offset)
             return pwrite(fd, data, offset)
 
-        def children_first(queue):
-            if os.getpid() != parent:
-                k = claim(queue)
-                os.write(claimed, b"\0")
-                return k
-            while waiting[0] and select.select([claims], [], [], 30)[0]:
-                waiting[0] -= len(os.read(claims, waiting[0]))
-            return claim(queue)
-
         monkeypatch.setattr(os, "pwrite", short)
-        monkeypatch.setattr(pp, "_claim", children_first)
+        claim_gate("children" if short_in_child else "parent")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         path = str(tmp_path / "f.csv")
         match = "CSV row formatter failed" if short_in_child else "short write of the CSV"
-        try:
-            with pytest.raises(OSError, match=match):
-                pp.write_field_csv(csv_fields()["odd ny"], path)
-        finally:
-            os.close(claims)
-            os.close(claimed)
+        with pytest.raises(OSError, match=match):
+            pp.write_field_csv(csv_fields()["odd ny"], path)
         assert len(forks) == 2
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
@@ -1503,20 +1561,21 @@ class TestFieldRows:
         with pp.FieldRows(pp.Grid(2, 6, 0.0, 1.0, 0.0, 1.0), path) as rows:
             assert rows._blocks == 6
             rows._lengths[:] = [3, -1, 2, 4, -1, 5]
-            held = {0: b"aaa", 2: b"cc", 3: b"dddd", 5: b"fffff"}
+            held = rows._held
+            held.update({0: b"aaa", 2: b"cc", 3: b"dddd", 5: b"fffff"})
             header = os.path.getsize(path + ".tmp")
 
             def body():
                 with open(path + ".tmp", "rb") as fh:
                     return fh.read()[header:]
 
-            rows._write_held(held)
+            rows._write_held()
             assert body() == b"aaa" and sorted(held) == [2, 3, 5]
             rows._lengths[1] = 1
-            rows._write_held(held)
+            rows._write_held()
             assert body() == b"aaa\0ccdddd" and sorted(held) == [5]
             rows._lengths[4] = 6
-            rows._write_held(held)
+            rows._write_held()
             assert body() == b"aaa\0ccdddd" + bytes(6) + b"fffff" and held == {}
             assert rows._written.tolist() == [True, False, True, True, False, True]
 
