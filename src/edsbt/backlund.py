@@ -16,6 +16,7 @@ vanish for a valid adapted section.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -310,14 +311,17 @@ class WavelikeBT:
         return {"A1": self.fp, "A2": self.gq}
 
 
-def _sampled_min(expr: Expr, spec: SampleSpec) -> float:
-    """Sampled minimum of |expr|; a non-finite sample reads as 0.0, so a
-    margin built on it fails its guard."""
+def _sampled_min(expr: Expr, spec: SampleSpec) -> Tuple[float, Optional[Point]]:
+    """Sampled minimum of |expr|, and the first sample point where |expr|
+    is not finite (None where none is).  A non-finite sample reads as 0.0
+    in the minimum, so a margin built on it fails its guard."""
 
     def magnitude(pt: Point) -> float:
-        return ex.finite_or(abs(float(ex.evaluate(expr, pt.env(), spec.guard))), 0.0)
+        return abs(float(ex.evaluate(expr, pt.env(), spec.guard)))
 
-    return min(v for _, v in ex.sampled_collect(spec, magnitude))
+    samples = ex.sampled_collect(spec, magnitude)
+    bad = next((pt for pt, v in samples if not math.isfinite(v)), None)
+    return min(ex.finite_or(v, 0.0) for _, v in samples), bad
 
 
 def build_wavelike(F, G, chart: Optional[Chart] = None,
@@ -342,10 +346,11 @@ def build_wavelike(F, G, chart: Optional[Chart] = None,
     Fp = ex.differentiate(F, "p")
     Gq = ex.differentiate(G, "q")
     delta = ex.sub(ex.ONE, ex.mul(Fp, Gq))
-    fp_margin = _sampled_min(Fp, spec)
-    gq_margin = _sampled_min(Gq, spec)
-    delta_margin = _sampled_min(delta, spec)
-    for name, margin in (("F_p", fp_margin), ("G_q", gq_margin), ("1 - F_p G_q", delta_margin)):
+    margins = [(name, *_sampled_min(e, spec))
+               for name, e in (("F_p", Fp), ("G_q", Gq), ("1 - F_p G_q", delta))]
+    for name, margin, bad in margins:
+        if bad is not None:
+            raise WavelikeBuildError(f"{name} is not finite on the box at {bad.flat()}")
         if margin <= spec.guard:
             raise WavelikeBuildError(f"{name} vanishes on the box (min {margin:.3e})")
 
@@ -499,16 +504,16 @@ def check_autonomous(bt: WavelikeBT, X: VectorField, Y: VectorField,
     spec = fm.resolve_spec(bt.chart, spec)
     chart = bt.chart
     for i in range(chart.dim):
-        bracket = ex.ZERO
+        commutator = ex.ZERO
         for j, coord in enumerate(chart.coords):
-            bracket = ex.add(
-                bracket,
+            commutator = ex.add(
+                commutator,
                 ex.sub(
                     ex.mul(X.components[j], ex.differentiate(Y.components[i], coord)),
                     ex.mul(Y.components[j], ex.differentiate(X.components[i], coord)),
                 ),
             )
-        if bracket != ex.ZERO and not ex.equiv_random(bracket, ex.ZERO, spec).ok:
+        if commutator != ex.ZERO and not ex.equiv_random(commutator, ex.ZERO, spec).ok:
             return False
 
     gens = bt.generators()
@@ -533,7 +538,7 @@ def transversality_det(bt: WavelikeBT, X: VectorField, Y: VectorField,
         ex.mul(pairing(s.w1, X), pairing(s.w3, Y)),
         ex.mul(pairing(s.w1, Y), pairing(s.w3, X)),
     )
-    return _sampled_min(det, spec)
+    return _sampled_min(det, spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,8 @@ def cmd_tzitzeica(runner: _Runner) -> None:
     with pp.FieldRows(grid, runner.args.out_hprime) as rows:  # h' is written as it is marched
         try:
             result = pp.tzitzeica_propagate(
-                body["h"], body["lambda"], body["alpha0"], body["beta0"], grid, rows=rows
+                body["h"], body["lambda"], body["alpha0"], body["beta0"], grid, rows=rows,
+                params=pp._fixed_params(runner.defn.chart),
             )
         except pp.PropagationError as err:
             runner.record("propagation", "error", witness=str(err))

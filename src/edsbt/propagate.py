@@ -12,14 +12,13 @@ has the same form; its output h' = 2*alpha*beta - h solves that equation.
 Each system is written once, as right sides w_x = P and w_y = Q over
 node arrays, and one march runs both: classical RK4 along the base row
 y = y0, then up every column at once.  P solves the first relation for
-v_x, in closed form when F is affine in v_x, else with one elementwise
-root solver (Newton, then bisection on a bracket where Newton fails).
-The march holds two rows of its state.  The compatibility residual
-max |P_y - Q_x| is folded in as each row becomes final, from the
-march's own Q there and one solve for P; it vanishes to discretization
-accuracy exactly when the seed solves its PDE.  Then each final row is
-handed on: v is stored, and h' is made, counted and folded into its own
-residual three rows at a time.
+v_x, in closed form when F is affine in v_x, else by Newton at every
+node at once.  The march holds two rows of its state.  The
+compatibility residual max |P_y - Q_x| is folded in as each row becomes
+final, from the march's own Q there and one solve for P; it vanishes to
+discretization accuracy exactly when the seed solves its PDE.  Then each
+final row is handed on: v is stored, and h' is made, counted and folded
+into its own residual three rows at a time.
 
 v or h' can be written into a FieldRows, which queues every block of
 final rows on a queue that never fills; its forked children take blocks
@@ -152,7 +151,8 @@ class SupError:
     on each block's own np.meshgrid, so its values are bitwise the whole
     mesh's whatever the blocks.  A block whose evaluation raises is held,
     and no later block is evaluated; result() raises it, or else names
-    the lowest node where e is not finite."""
+    the lowest node where e is not finite.  A difference that overflows
+    makes the sup inf."""
 
     def __init__(self, e, grid: Grid, params: Optional[dict] = None):
         self.grid, self._xs, self._ys = grid, grid.xs(), grid.ys()
@@ -175,8 +175,12 @@ class SupError:
         if np.isfinite(d):
             self._worst = max(self._worst, d)
         elif self._bad is None:
-            r, i = np.argwhere(~np.isfinite(block))[0]
-            self._bad = j + r, i, float(block[r, i])
+            bad = np.argwhere(~np.isfinite(block))
+            if len(bad):
+                r, i = bad[0]
+                self._bad = j + r, i, float(block[r, i])
+            else:  # a finite v and a finite e whose difference overflows
+                self._worst = math.inf
 
     def result(self) -> float:
         """The sup once every block is in."""
@@ -318,23 +322,19 @@ def _fixed_params(chart) -> dict:
 # since numpy's array loops may round a power unlike its scalar arithmetic
 
 
-def _solve_p(F, Fp, env, target, start, bracket):
-    """Solve F(..., p) = target for p at every node, F and Fp compiled:
-    Newton from `start`, then bisection on `bracket` at each node where
-    Newton stalls (|F_p| < GUARD), leaves the bracket or runs out of steps."""
-
-    def residual(p):
-        env["p"] = p
-        return F(env, 0.0)[0] - target
-
-    lo, hi = (-np.inf, np.inf) if bracket is None else bracket
+def _solve_p(F, Fp, env, target, start):
+    """Solve F(..., p) = target for p at every node by Newton from `start`,
+    F and Fp compiled.  RootSolveError once the steps are done, where at
+    some node Newton stalls (|F_p| < GUARD), steps to nan or runs out of
+    steps."""
     tol = 1e-12 * (1.0 + np.abs(target))
     shape = np.broadcast_shapes(np.shape(target), np.shape(start))
     p = np.broadcast_to(np.asarray(start, dtype=float), shape)[()]
     newton = np.ones(shape, dtype=bool)  # nodes Newton still moves
-    failed = np.zeros(shape, dtype=bool)  # nodes left to bisection
+    failed = np.zeros(shape, dtype=bool)
     for _ in range(60):
-        r = residual(p)
+        env["p"] = p
+        r = F(env, 0.0)[0] - target
         newton &= ~(np.abs(r) <= tol)
         if not newton.any():
             break
@@ -342,47 +342,13 @@ def _solve_p(F, Fp, env, target, start, bracket):
         stalled = newton & (np.abs(d) < GUARD)
         newton &= ~stalled
         p_next = p - r / np.where(newton, d, 1.0)
-        escaped = newton & ~((lo <= p_next) & (p_next <= hi))
+        escaped = newton & np.isnan(p_next)
         failed |= stalled | escaped
         newton &= ~escaped & (p_next != p)  # a fixed point of the step is a root
         p = np.where(newton, p_next, p)[()]
-    failed |= newton
-    if not failed.any():
-        return p
-    if bracket is None:
-        raise RootSolveError(
-            "Newton iteration for the v_x relation failed and no bracket was given"
-        )
-    root = _bisect(residual, failed, float(lo), float(hi))
-    if np.any(failed & (np.abs(residual(root)) > 1e-8 * (1.0 + np.abs(target)))):
-        raise RootSolveError("bisection did not converge for the v_x relation")
-    return np.where(failed, root, p)[()]
-
-
-def _bisect(residual, nodes, lo, hi):
-    """Bisect `residual` on [lo, hi] at the nodes selected by the mask
-    `nodes`; the other entries of the result are meaningless."""
-    rlo, rhi = residual(lo), residual(hi)
-    one_signed = np.copysign(1.0, rlo) == np.copysign(1.0, rhi)
-    if np.any(nodes & one_signed & (rlo != 0.0) & (rhi != 0.0)):
-        raise RootSolveError(
-            f"bracket [{lo}, {hi}] does not straddle a root of the v_x relation"
-        )
-    lo, hi = (np.full(np.shape(nodes), end)[()] for end in (lo, hi))
-    root = np.where(rlo == 0.0, lo, hi)[()]
-    open_ = nodes & (rlo != 0.0) & (rhi != 0.0)
-    for _ in range(200):
-        if not open_.any():
-            return root
-        mid = 0.5 * (lo + hi)
-        rm = residual(mid)
-        done = open_ & ((rm == 0.0) | ((hi - lo) < 1e-15 * (1.0 + np.abs(mid))))
-        root = np.where(done, mid, root)[()]
-        open_ &= ~done
-        up = open_ & (np.copysign(1.0, rm) == np.copysign(1.0, rlo))
-        lo, rlo = np.where(up, mid, lo)[()], np.where(up, rm, rlo)[()]
-        hi = np.where(open_ & ~up, mid, hi)[()]
-    return np.where(open_, 0.5 * (lo + hi), root)[()]
+    if failed.any() or newton.any():
+        raise RootSolveError("Newton iteration for the v_x relation failed")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +382,20 @@ def _affine_split(F: Expr):
 
 
 def bt_propagate(
-    bt: WavelikeBT, seed, v0: float, grid: Grid, bracket: Optional[tuple] = None,
-    rows: Optional[FieldRows] = None, reference=None,
+    bt: WavelikeBT, seed, v0: float, grid: Grid, rows: Optional[FieldRows] = None,
+    reference=None,
 ) -> BTPropagation:
     """Integrate the companion solution v from the corner value v0.
 
     `seed` is an analytic expression for u(x, y), so its derivatives in
-    the ODE right sides are exact.  `bracket`, when given, is a global
-    (lo, hi) window for the v_x root solve in the non-affine case.  With
-    `rows`, v is marched into its shared array, which starts formatting
-    each block of rows of v as the march finishes it, and the result's v
-    is None.  A `reference` expression in x, y is compared with each
-    block of v once the block is final (SupError), in blocks set by the
-    grid alone, so that which of its failures is raised does not depend
-    on the CPU count; they are raised only once the march has passed.
+    the ODE right sides are exact.  A relation F not affine in v_x is
+    solved for v_x by Newton, from 0.0 on the base row.  With `rows`, v
+    is marched into its shared array, which starts formatting each block
+    of rows of v as the march finishes it, and the result's v is None.  A
+    `reference` expression in x, y is compared with each block of v once
+    the block is final (SupError), in blocks set by the grid alone, so
+    that which of its failures is raised does not depend on the CPU
+    count; they are raised only once the march has passed.
     """
     _require_interior(grid)
     params = _fixed_params(bt.chart)
@@ -451,7 +417,7 @@ def bt_propagate(
 
     def v_x(env, target, start):
         if split is None:
-            return _solve_p(F, Fp, env, target, start, bracket)
+            return _solve_p(F, Fp, env, target, start)
         slope = f1(env, 0.0)[0]
         if np.abs(slope).min() < GUARD:
             raise RootSolveError(f"|F_p| < {GUARD} where v_x is solved for")
@@ -470,7 +436,7 @@ def bt_propagate(
         return env
 
     # along the base row, Newton starts from the previous root
-    last_p = 0.0 if bracket is None else 0.5 * (bracket[0] + bracket[1])
+    last_p = 0.0
 
     def along_row(x, v):
         nonlocal last_p
@@ -606,6 +572,7 @@ class TzitzeicaPropagation:
 
 def tzitzeica_propagate(
     h, lam: float, alpha0: float, beta0: float, grid: Grid, rows: Optional[FieldRows] = None,
+    params: Optional[dict] = None,
 ) -> TzitzeicaPropagation:
     """March the auxiliary (alpha, beta) system and emit h' = 2*alpha*beta - h.
 
@@ -619,9 +586,11 @@ def tzitzeica_propagate(
     Each row of h' is made, counted and folded into its residual once the
     march has that row final.  With `rows`, h' is written into its shared
     array, nan at singular nodes, and no array of the grid's size is kept.
+    `params` binds the fixed parameters that h names.
     """
     _require_interior(grid)
-    h = ex.as_expr(h, ("x", "y"))
+    params = params or {}
+    h = ex.as_expr(h, ("x", "y"), tuple(params))
     lam = float(lam)
     if abs(lam) < GUARD:
         raise PropagationError("lam must be bounded away from zero")
@@ -636,8 +605,8 @@ def tzitzeica_propagate(
             raise PropagationError("seed |h| fell inside the guard")
         return env, hv, derivative(env, 0.0)[0]
 
-    base_terms = _per_stage(lambda x: terms({"x": x, "y": grid.y0}, hx_of))
-    column_terms = _per_stage(lambda y: terms({"x": xs, "y": np.full(grid.nx, y)}, hy_of))
+    base_terms = _per_stage(lambda x: terms(dict(params, x=x, y=grid.y0), hx_of))
+    column_terms = _per_stage(lambda y: terms(dict(params, x=xs, y=np.full(grid.nx, y)), hy_of))
 
     def w_x(w, hv, hx):
         a, b = w

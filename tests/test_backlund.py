@@ -7,6 +7,7 @@ module tests for the underlying calculus oracles.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -66,8 +67,9 @@ class TestBuildWavelike:
         assert checks["dropF"].max_violation < 1e-9
         assert checks["dropG"].max_violation < 1e-9
         assert all(r.ok for r in checks.values())
-        assert bk._sampled_min(bt.fp, spec) > 0.5
-        assert bk._sampled_min(ex.sub(ex.ONE, ex.mul(bt.fp, bt.gq)), spec) > 0.5
+        for margin in (bt.fp, ex.sub(ex.ONE, ex.mul(bt.fp, bt.gq))):
+            least, nonfinite = bk._sampled_min(margin, spec)
+            assert least > 0.5 and nonfinite is None
 
     def test_coupled_data_builds_but_fails_conditions(self):
         # F = p + uv, G = -q + uv defines a coframe yet the mixed
@@ -109,9 +111,22 @@ class TestBuildWavelike:
         ch = bk.b_chart()
         spec = ch.sample_spec(count=64, seed=0)
         e = ch.parse("2 + exp(1000*u) - exp(1000*x)")
-        values = [v for _, v in ex.sampled_collect(spec, lambda pt: ex.evaluate(e, pt.env()))]
-        assert any(math.isnan(v) for v in values[1:])
-        assert bk._sampled_min(e, spec) == 0.0
+        samples = ex.sampled_collect(spec, lambda pt: ex.evaluate(e, pt.env()))
+        assert any(math.isnan(v) for _, v in samples[1:])
+        first = next(pt for pt, v in samples if not math.isfinite(v))
+        assert bk._sampled_min(e, spec) == (0.0, first)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_margin_names_its_point(self):
+        # F_p = 2 + exp(1000*u) is at least 2, and inf where exp overflows
+        ch = bk.b_chart()
+        spec = ch.sample_spec(count=16)
+        overflow = math.log(sys.float_info.max) / 1000
+        first = next(pt for pt, u in ex.sampled_collect(spec, lambda pt: pt.coords["u"])
+                     if u > overflow)
+        with pytest.raises(bk.WavelikeBuildError) as err:
+            bk.build_wavelike("p*(2 + exp(1000*u))", "-q", ch, spec)
+        assert str(err.value) == f"F_p is not finite on the box at {first.flat()}"
 
     @pytest.mark.parametrize("F, G", [
         (SG_F, SG_G), ("v*p + u", "-q/v"), ("atan(p)", "-q"), ("p + u*v", "-q + u*v"),

@@ -22,6 +22,7 @@ import pytest
 import edsbt.backlund as bk
 import edsbt.cli as cli
 import edsbt.propagate as pp
+from test_propagate import reference_csv
 
 
 SG_DEF = """\
@@ -265,6 +266,17 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("edsbt: coframe singular at ")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_overflowing_margin_is_one(self, tmp_path, capsys, command):
+        # F_p = 2 + exp(1000*u) is at least 2, and inf where exp overflows
+        text = SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", "F = p*(2 + exp(1000*u))")
+        code = cli.main([command, write_def(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("edsbt: F_p is not finite on the box at p=")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:
@@ -617,6 +629,45 @@ class TestPropagateCommand:
         assert "lam" in rec["witness"]
         assert not (tmp_path / "v.csv").exists()
 
+    def test_overflowing_sup_error_reads_inf(self, tmp_path, capsys):
+        # v and the reference are finite, |v - reference| overflows
+        code = cli.main(["propagate", write_def(tmp_path, SG_DEF), "--seed-u", "0",
+                         "--v0=-1e300", "--grid", "11,11", "--domain", "0,1,0,1",
+                         "--out", str(tmp_path / "v.csv"),
+                         "--reference", "17976931348623157*10^292"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["records"][0]["status"] == "pass"
+        assert report["sup_error"] == math.inf
+
+    def test_newton_failure_is_an_error_record(self, tmp_path, capsys):
+        # atan(p) never reaches u_x = 2
+        text = SG_DEF.split("[bt]")[0] + "[bt]\nF = atan(p)\nG = -q\n"
+        code, report = run(capsys, "propagate", write_def(tmp_path, text), "--seed-u", "2*x",
+                           "--v0", "0", "--grid", "5,5", "--domain", "0,1,0,1",
+                           "--out", str(tmp_path / "v.csv"))
+        assert code == 1
+        rec = report["records"][0]
+        assert (rec["status"], rec["witness"]) == (
+            "error", "Newton iteration for the v_x relation failed")
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
+
+    def test_newton_march_writes_the_library_field(self, tmp_path, capsys):
+        F, seed, grid = "p + 0.2*p^3", "3*x + sin(x*y)", pp.Grid(41, 31, 0.0, 2.0, 0.0, 1.0)
+        text = SG_DEF.split("[bt]")[0] + f"[bt]\nF = {F}\nG = -q\n"
+        out = tmp_path / "v.csv"
+        code, report = run(capsys, "propagate", write_def(tmp_path, text), "--seed-u", seed,
+                           "--v0", "0.5", "--grid", "41,31", "--domain", "0,2,0,1",
+                           "--out", str(out))
+        assert code == 0
+        ch = bk.b_chart(params={"lam": 1.0})
+        res = pp.bt_propagate(bk.build_wavelike(F, "-q", ch, ch.sample_spec(count=16)), seed,
+                              0.5, grid)
+        assert report["compatibility_residual"] == res.compatibility_residual
+        assert out.read_bytes() == reference_csv(res.v)
+
     def test_bad_grid_is_usage_error(self, tmp_path, capsys):
         code, _ = run(
             capsys,
@@ -913,6 +964,29 @@ class TestTzitzeicaCommand:
         assert "h_prime_max_residual" not in report and "h_prime_mean_residual" not in report
         assert report["singular_nodes"] == 0
         assert np.all(pp.read_field_csv(out).values < 0)
+
+    def test_fixed_params_are_bound(self, tmp_path, capsys):
+        # h names the [params] entry c
+        text = TZ_DEF.replace("[tzitzeica]\nh = 1", "[params]\nc = 1.0\n\n[tzitzeica]\nh = c")
+        out = tmp_path / "hp.csv"
+        code, report = run(capsys, "tzitzeica", write_def(tmp_path, text),
+                           "--grid", "41,41", "--domain", "0,0.5,0,0.5", "--out-hprime", str(out))
+        assert code == 0
+        assert report["records"][0]["status"] == "pass"
+        assert report["h_prime_max_residual"] == 0.0
+        assert np.all(pp.read_field_csv(str(out)).values == 1.0)
+
+    def test_ranged_parameter_is_runtime_error(self, tmp_path, capsys):
+        # h names the [params] entry c
+        text = TZ_DEF.replace("[tzitzeica]\nh = 1", "[params]\nc = [0.5, 2]\n\n[tzitzeica]\nh = c")
+        code, report = run(capsys, "tzitzeica", write_def(tmp_path, text),
+                           "--grid", "5,5", "--domain", "0,0.5,0,0.5",
+                           "--out-hprime", str(tmp_path / "hp.csv"))
+        assert code == 1
+        rec = report["records"][0]
+        assert (rec["status"], rec["witness"]) == (
+            "error", "parameter 'c' must be a fixed number for propagation")
+        assert list(tmp_path.iterdir()) == [tmp_path / "system.def"]
 
     def test_degenerate_coupling_is_runtime_error(self, tmp_path, capsys):
         text = TZ_DEF.replace("lambda = 1", "lambda = 0")

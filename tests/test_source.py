@@ -2,8 +2,9 @@
 
 A function local that is assigned and never read is either dead code or a
 value computed and then forgotten; symtable finds both without running the
-code.  A top-level function or class whose name appears nowhere but in its
-own definition is a helper nothing calls.
+code.  A top-level function, class or assigned name whose name appears
+nowhere but in its own definition is a helper nothing calls or a
+constant nothing reads.
 """
 
 import ast
@@ -74,20 +75,44 @@ def test_an_unread_local_is_found():
     assert unread_locals(symtable.symtable(source, "<f>", "exec")) == [("f", "y")]
 
 
+def _bound_names(target) -> list:
+    """The names an assignment target binds: `a`, `a, *b`; not `a[i]` or `a.b`."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    return []
+
+
+def _defined_names(node) -> list:
+    """The names a top-level statement defines; dunders such as __all__
+    are read by Python itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        names = [name for target in node.targets for name in _bound_names(target)]
+    elif isinstance(node, ast.AnnAssign):
+        names = _bound_names(node.target)
+    else:
+        return []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def unnamed_definitions(module: str, source: str, others: str) -> list:
-    """(module, name) for each top-level function or class of `source`
-    whose name appears neither in `others` nor in `source` outside its own
-    definition (decorators included)."""
+    """(module, name) for each top-level function, class or assigned name
+    of `source` that appears neither in `others` nor in `source` outside
+    its own definition (decorators included)."""
     lines = source.splitlines()
     found = []
     for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
         rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-        named = re.compile(rf"\b{re.escape(node.name)}\b")
-        if not (named.search(rest) or named.search(others)):
-            found.append((module, node.name))
+        for name in _defined_names(node):
+            named = re.compile(rf"\b{re.escape(name)}\b")
+            if not (named.search(rest) or named.search(others)):
+                found.append((module, name))
     return found
 
 
@@ -118,3 +143,18 @@ def test_an_unnamed_definition_is_found():
         "    pass\n"
     )
     assert unnamed_definitions("m", source, "Called()") == [("m", "recursive"), ("m", "cached")]
+
+
+def test_an_unread_constant_is_found():
+    source = (
+        "import math\n"
+        "__all__ = []\n"  # read by Python itself
+        "READ = 1\n"
+        "UNREAD = 2\n"
+        "FIRST, _SECOND = READ, 3\n"  # _SECOND is never read
+        "TABLE: dict = {}\n"
+        "TABLE['k'] = math.pi\n"  # binds no name, and reads TABLE
+        "LOOKED_UP = 4\n"
+    )
+    assert unnamed_definitions("m", source, "FIRST LOOKED_UP") == [("m", "UNREAD"),
+                                                                   ("m", "_SECOND")]
