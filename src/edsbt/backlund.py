@@ -307,9 +307,6 @@ class WavelikeBT:
         s = self.section
         return [s.theta, s.theta_bar, fm.wedge(s.w1, s.w2), fm.wedge(s.w3, s.w4)]
 
-    def torsion_exprs(self) -> dict:
-        return {"A1": self.fp, "A2": self.gq}
-
 
 def _sampled_min(expr: Expr, spec: SampleSpec) -> Tuple[float, Optional[Point]]:
     """Sampled minimum of |expr|, and the first sample point where |expr|

@@ -423,7 +423,6 @@ _FUNCS = {
         np.arctan, lambda a: div(ONE, add(ONE, pow_int(a, 2))), _exact_at(0, 0), None
     ),
 }
-FUNCTIONS = tuple(_FUNCS)
 
 
 def func(name: str, arg: Expr) -> Expr:
@@ -540,14 +539,24 @@ def evaluate(e: Expr, env: Mapping[str, object], guard: float = 0.0):
     |x| < guard or x == 0, an ln argument <= guard, or a sqrt argument
     < guard.  The default guard 0.0 leaves only the hard checks; the
     message says whether a hard check or a positive guard fired.  A
-    denominator is evaluated before its numerator.
+    denominator is evaluated before its numerator.  A float power that
+    overflows reads the signed inf that an array power gives.
     """
     return compile((e,))(env, guard)[0]
 
 
-# what compiled code calls: each function by its name, and the domain check
-# of each function, Div and Pow as `<name>_domain`
-_SCOPE = {"ExprError": ExprError, "Fraction": Fraction, **{n: f.numpy for n, f in _FUNCS.items()}}
+def _power_overflow(base, n: int):
+    """Where a float power overflows, the signed inf that an array power
+    gives; an int base beyond the float range raises as before."""
+    if not isinstance(base, float):
+        return base**n
+    return math.copysign(math.inf, base) if n % 2 else math.inf
+
+
+# what compiled code calls: each function by its name, the domain check of
+# each function, Div and Pow as `<name>_domain`, and _power_overflow
+_SCOPE = {"ExprError": ExprError, "Fraction": Fraction, "power_overflow": _power_overflow,
+          **{n: f.numpy for n, f in _FUNCS.items()}}
 _SCOPE.update((f"{n}_domain", owner.domain.check)
               for n, owner in [*_FUNCS.items(), ("Div", Div), ("Pow", Pow)] if owner.domain)
 _SOURCE = """\
@@ -620,7 +629,12 @@ def _emit(roots: tuple) -> Callable:
             base = visit(e.base)
             if e.exponent < 0:
                 check("Pow", base, e.base)
-            return put(e, f"{base} ** {e.exponent}", base)
+            power = put(e, f"{base} ** {e.exponent}", base)
+            # a float power raises OverflowError where an array's reads inf;
+            # the try costs nothing until it raises
+            body[-1] = (f"try:\n    {body[-1][0]}\nexcept OverflowError:\n"
+                        f"    {power} = power_overflow({base}, {e.exponent})", (base,))
+            return power
         if kind is not Func:
             raise TypeError(f"cannot evaluate {kind.__name__}")
         arg = visit(e.arg)
@@ -634,7 +648,7 @@ def _emit(roots: tuple) -> Callable:
     for i, (statement, reads) in enumerate(body):
         dead = sorted({t for t in reads if last[t] == i}.difference(results))
         lines += [statement, f"del {', '.join(dead)}"] if dead else [statement]
-    source = _SOURCE.format(body="\n        ".join(lines or ["pass"]),
+    source = _SOURCE.format(body="\n".join(lines or ["pass"]).replace("\n", "\n        "),
                             results="".join(r + ", " for r in results))
     scope = {}
     exec(source, _SCOPE, scope)
@@ -815,8 +829,14 @@ class _Parser:
 
 
 def parse(text: str, variables: Iterable[str], parameters: Iterable[str] = ()) -> Expr:
-    """Parse `text` against declared coordinate and parameter names."""
-    return _Parser(text, variables, parameters).parse()
+    """Parse `text` against declared coordinate and parameter names.
+    Nesting too deep for the recursive descent is a syntax error at the
+    token it reached."""
+    parser = _Parser(text, variables, parameters)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("nesting too deep", parser.peek().pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,6 @@ class DifferentialForm:
     def zero(cls, chart: Chart, degree: int) -> "DifferentialForm":
         return cls(chart, degree, {})
 
-    @classmethod
-    def function(cls, chart: Chart, f: Expr) -> "DifferentialForm":
-        return cls(chart, 0, {(): f})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -298,10 +294,6 @@ def _basis_index(n: int, k: int) -> dict:
     return {t: i for i, t in enumerate(basis_tuples(n, k))}
 
 
-def coefficient_index(chart: Chart, degree: int) -> dict:
-    return _basis_index(chart.dim, degree)
-
-
 def coefficient_matrix_at(
     forms: Sequence[DifferentialForm], pt: Point, guard: float = 0.0
 ) -> np.ndarray:
@@ -379,22 +371,6 @@ def expand_in_coframe(S: np.ndarray, values: np.ndarray, degree: int) -> np.ndar
     for axis in range(degree):
         tensor = np.moveaxis(np.tensordot(inverse.T, tensor, axes=(1, axis)), 0, axis)
     return tensor.reshape((n**degree,) + rest)[increasing]
-
-
-def coframe_coefficients_at(
-    a: DifferentialForm,
-    coframe: Sequence[DifferentialForm],
-    pt: Point,
-    guard: float = 0.0,
-) -> np.ndarray:
-    """Expand `a` in the wedge basis generated by `coframe` at one point.
-
-    Result is ordered by `basis_tuples(n, degree)` over coframe indices.
-    Raises SingularCoframeError when the coframe matrix has condition number
-    above COND_LIMIT.
-    """
-    S = coframe_matrix_at(coframe, pt, guard)
-    return expand_in_coframe(S, coefficients_at(a, pt, guard), a.degree)
 
 
 def span_residual(M: np.ndarray, v: np.ndarray):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -207,54 +207,3 @@ def hyperbolicity(sys: MongeAmpereSystem,
     )
     return HyperbolicityReport(verdict, samples)
 
-
-def decomposition_checks(
-    sys: MongeAmpereSystem,
-    omega1: DifferentialForm,
-    omega2: DifferentialForm,
-    spec: Optional[SampleSpec] = None,
-) -> dict:
-    """The individual sampled checks behind verify_decomposition, by name."""
-    chart = sys.chart
-    spec = fm.resolve_spec(chart, spec)
-    if omega1.degree != 2 or omega2.degree != 2:
-        raise ValueError("decomposition candidates must be 2-forms")
-    dtheta = fm.exterior_derivative(sys.theta)
-    top = fm.basis_tuples(chart.dim, chart.dim)[0]
-
-    def square_violation(candidate: DifferentialForm):
-        squared = fm.wedge(fm.wedge(candidate, candidate), sys.theta)
-        sq_expr = squared.coeffs.get(top, ex.ZERO)
-
-        def violation(pt: Point) -> float:
-            val = abs(float(ex.evaluate(sq_expr, pt.env(), spec.guard)))
-            mag = float(np.max(np.abs(fm.coefficients_at(candidate, pt, spec.guard))))
-            theta_mag = float(
-                np.max(np.abs(fm.coefficients_at(sys.theta, pt, spec.guard)))
-            )
-            return val / ((1.0 + mag) ** 2 * (1.0 + theta_mag))
-
-        return ex.sampled_check(spec, violation)
-
-    new_gens = [sys.theta, omega1, omega2]
-    old_gens = [sys.theta, dtheta, sys.omega]
-    return {
-        "omega1_decomposable": square_violation(omega1),
-        "omega2_decomposable": square_violation(omega2),
-        "dtheta_in_candidate_span": fm.ideal_contains(dtheta, new_gens, spec),
-        "omega_in_candidate_span": fm.ideal_contains(sys.omega, new_gens, spec),
-        "omega1_in_system_span": fm.ideal_contains(omega1, old_gens, spec),
-        "omega2_in_system_span": fm.ideal_contains(omega2, old_gens, spec),
-    }
-
-
-def verify_decomposition(
-    sys: MongeAmpereSystem,
-    omega1: DifferentialForm,
-    omega2: DifferentialForm,
-    spec: Optional[SampleSpec] = None,
-) -> bool:
-    """True iff both candidates wedge-square to zero against theta and the
-    candidate span matches the system span modulo theta, at every sample."""
-    checks = decomposition_checks(sys, omega1, omega2, spec)
-    return all(result.ok for result in checks.values())

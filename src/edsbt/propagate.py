@@ -166,12 +166,15 @@ class SupError:
             return
         env = self._env
         env["x"], env["y"] = np.meshgrid(self._xs, self._ys[j:j + len(v_rows)])
-        try:
-            block = _full(self._value(env, 0.0)[0], env["x"].shape)
-        except Exception as err:  # held: a failing march raises its own error first
-            self._failure = err
-            return
-        d = np.abs(v_rows - block).max()
+        # a non-finite value reaches result() as inf or a named node, so
+        # numpy's warnings about it are silenced
+        with np.errstate(all="ignore"):
+            try:
+                block = _full(self._value(env, 0.0)[0], env["x"].shape)
+            except Exception as err:  # held: a failing march raises its own error first
+                self._failure = err
+                return
+            d = np.abs(v_rows - block).max()
         if np.isfinite(d):
             self._worst = max(self._worst, d)
         elif self._bad is None:

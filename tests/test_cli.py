@@ -211,6 +211,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"edsbt: {path}: [bt] F: {message}\n"
 
+    def test_nesting_too_deep_is_two(self, tmp_path, capsys):
+        nested = "(" * 3000 + "p" + ")" * 3000
+        path = write_def(tmp_path, SG_DEF.replace("F = p + ", f"F = {nested} + "))
+        code = cli.main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"edsbt: {path}: [bt] F: nesting too deep (at offset ")
+        assert captured.err.count("\n") == 1
+
     def test_wrong_kind_is_two(self, tmp_path, capsys):
         code, _ = run(capsys, "classify", write_def(tmp_path, TZ_DEF))
         assert code == 2
@@ -271,6 +281,18 @@ class TestExitCodes:
     def test_overflowing_margin_is_one(self, tmp_path, capsys, command):
         # F_p = 2 + exp(1000*u) is at least 2, and inf where exp overflows
         text = SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", "F = p*(2 + exp(1000*u))")
+        code = cli.main([command, write_def(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("edsbt: F_p is not finite on the box at p=")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "classify", "torsion"])
+    def test_overflowing_power_is_not_finite(self, tmp_path, capsys, command):
+        # p^999999999 overflows on most of the box: F_p reads inf there, as
+        # it would on an array, and the build names the first such sample
+        text = SG_DEF.replace("F = p + ", "F = p^999999999 + ")
         code = cli.main([command, write_def(tmp_path, text)])
         captured = capsys.readouterr()
         assert code == 1

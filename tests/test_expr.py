@@ -87,6 +87,20 @@ class TestParse:
                 P(text)
             assert err.value.position == offset
 
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("sin(", ")"), ("-", "")])
+    def test_nesting_too_deep_is_a_syntax_error(self, opener, closer):
+        # the parser's recursion limit is reached inside the nesting, and
+        # the offset is that of the token it reached there
+        text = opener * 3000 + "x" + closer * 3000
+        with pytest.raises(ExprSyntaxError, match=r"^nesting too deep \(at offset \d+\)$") as err:
+            P(text)
+        assert 0 < err.value.position < len(opener) * 3000
+
+    def test_long_flat_sum_parses(self):
+        # a sum is parsed by a loop, so its length is no nesting (its
+        # 3000-deep tree may still break down where it is walked)
+        assert isinstance(P("+".join(["x"] * 3000)), expr.Add)
+
 
 class TestDifferentiate:
     def test_linear_term(self):
@@ -270,7 +284,7 @@ def _extend(children):
         st.tuples(children, st.integers(min_value=-2, max_value=3)).map(
             lambda t: _safe_pow(*t)
         ),
-        st.tuples(st.sampled_from(expr.FUNCTIONS), children).map(
+        st.tuples(st.sampled_from(tuple(expr._FUNCS)), children).map(
             lambda t: _safe_func(*t)
         ),
     )
@@ -528,7 +542,12 @@ def _walk_evaluate(e, env, guard=None):
                 _walk_require(np.abs(base) < bound, "power base inside guard")
             else:
                 _walk_require(base == 0, "zero raised to a negative power")
-        return base**e.exponent
+        try:
+            return base**e.exponent
+        except OverflowError:  # a float power overflows to the array power's signed inf
+            if not isinstance(base, float):
+                raise
+            return float(np.power(np.array([base]), e.exponent)[0])
     if isinstance(e, expr.Func):
         arg = _walk_evaluate(e.arg, env, guard)
         if e.name == "ln":
@@ -563,7 +582,7 @@ def _raw_extend(children):
         st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
             lambda t: expr.Pow(*t)
         ),
-        st.tuples(st.sampled_from(expr.FUNCTIONS), children).map(
+        st.tuples(st.sampled_from(tuple(expr._FUNCS)), children).map(
             lambda t: expr.Func(*t)
         ),
     )
@@ -641,6 +660,10 @@ _SHARED = expr.Div(expr.Func("sin", Var("x")), Var("u"))
 # a constant beyond the float range overflows where the walk converts it
 @example((expr.Div(Const(10**400), Var("x")),), _AT_ZERO, 0.0)
 @example((expr.Div(Const(10**400), Var("y")),), _AT_ZERO, 0.0)
+@example((expr.Pow(Const(10**400), 2),), _AT_ZERO, 0.0)  # not read as a power that overflows
+# a scalar power that overflows, of a large base and of a tiny one
+@example((expr.Pow(Var("x"), 3), expr.Pow(Var("y"), -3)), {**_AT_ZERO, "x": -1e200, "y": -1e-200},
+         0.0)
 def test_compile_matches_the_tree_walk(roots, env, guard):
     kind, got = _outcome(_run_compiled, roots, env, guard)
     want_kind, want = _outcome(_walk_roots, roots, env, None if guard == 0.0 else guard)
@@ -698,6 +721,20 @@ def test_constant_operand_checked_only_where_the_guard_reaches_it(monkeypatch, c
             else:
                 assert got[1] == want[1]
             assert len(calls) == (guard > m)
+
+
+@pytest.mark.parametrize("base, n, want", [
+    (1e200, 3, math.inf), (-1e200, 3, -math.inf), (-1e200, 4, math.inf),
+    (1e-200, -3, math.inf), (-1e-200, -3, -math.inf), (-1e-200, -2, math.inf),
+])
+def test_scalar_power_overflow_reads_the_array_powers_signed_inf(base, n, want):
+    # Python's float ** raises OverflowError where numpy's array power
+    # gives inf; the scalar result stays a Python float
+    e = expr.Add(expr.Pow(Var("x"), n), Const(1))
+    got = evaluate(e, {"x": base})
+    assert type(got) is float and got == want
+    with np.errstate(over="ignore"):
+        assert evaluate(e, {"x": np.array([base])}).tolist() == [want]
 
 
 def _distinct_nodes(e, seen=None):

@@ -17,10 +17,10 @@ from edsbt.forms import (
     SingularCoframeError,
     VectorField,
     basis_tuples,
-    coefficient_index,
     coefficients_at,
-    coframe_coefficients_at,
+    coframe_matrix_at,
     d_coord,
+    expand_in_coframe,
     exterior_derivative,
     ideal_contains,
     interior_product,
@@ -33,6 +33,23 @@ BOX = (-1.5, 1.5)
 
 def chart5():
     return Chart(("x", "y", "u", "p", "q"), {c: BOX for c in ("x", "y", "u", "p", "q")})
+
+
+def function_form(ch, f):
+    """The 0-form f."""
+    return DifferentialForm(ch, 0, {(): f})
+
+
+def basis_index(ch, degree):
+    """Each increasing index tuple of the degree's wedge basis -> its row."""
+    return {t: i for i, t in enumerate(basis_tuples(ch.dim, degree))}
+
+
+def in_coframe(a, coframe, pt):
+    """a's coefficients in the wedge basis of `coframe` at pt, as every
+    `[bt]` command expands a section: coframe_matrix_at, then
+    expand_in_coframe."""
+    return expand_in_coframe(coframe_matrix_at(coframe, pt), coefficients_at(a, pt), a.degree)
 
 
 def sine_gordon_system(ch):
@@ -67,7 +84,7 @@ class TestWedge:
         u = ex.Var("u")
         dx, dy, dp = d_coord(ch, "x"), d_coord(ch, "y"), d_coord(ch, "p")
         omega1 = wedge(dp - ex.sin(u) * dy, dx)
-        ix = coefficient_index(ch, 2)
+        ix = basis_index(ch, 2)
         assert omega1.coeffs[ch.index("x"), ch.index("p")] == ex.Const(-1)
         assert omega1.coeffs[ch.index("x"), ch.index("y")] == ex.sin(u)
         assert set(omega1.coeffs) == {(0, 3), (0, 1)}
@@ -87,7 +104,7 @@ class TestWedge:
     def test_function_factor_scales(self):
         ch = chart5()
         p = ex.Var("p")
-        f = DifferentialForm.function(ch, p)
+        f = function_form(ch, p)
         dx = d_coord(ch, "x")
         assert wedge(f, dx) == p * dx
 
@@ -132,11 +149,11 @@ class TestInteriorProduct:
         ch = chart5()
         theta, _, _ = sine_gordon_system(ch)
         got = interior_product(VectorField.coordinate(ch, "u"), theta)
-        assert got == DifferentialForm.function(ch, ex.ONE)
+        assert got == function_form(ch, ex.ONE)
 
     def test_degree_zero_rejected(self):
         ch = chart5()
-        f = DifferentialForm.function(ch, ex.Var("u"))
+        f = function_form(ch, ex.Var("u"))
         with pytest.raises(ValueError):
             interior_product(VectorField.coordinate(ch, "x"), f)
 
@@ -160,9 +177,9 @@ class TestLieDerivative:
 
     def test_degree_zero_gives_directional_derivative(self):
         ch = chart5()
-        f = DifferentialForm.function(ch, ex.pow_int(ex.Var("x"), 2))
+        f = function_form(ch, ex.pow_int(ex.Var("x"), 2))
         got = lie_derivative(VectorField.coordinate(ch, "x"), f)
-        assert got == DifferentialForm.function(ch, 2 * ex.Var("x"))
+        assert got == function_form(ch, 2 * ex.Var("x"))
 
 
 class TestCoefficientsAt:
@@ -172,7 +189,7 @@ class TestCoefficientsAt:
         ch = chart5()
         theta, _, _ = sine_gordon_system(ch)
         v = coefficients_at(exterior_derivative(theta), Point({c: 0.3 for c in ch.coords}))
-        ix = coefficient_index(ch, 2)
+        ix = basis_index(ch, 2)
         expect = np.zeros(len(v))
         expect[ix[0, 3]] = 1.0
         expect[ix[1, 4]] = 1.0
@@ -183,7 +200,7 @@ class TestCoefficientsAt:
         _, omega1, _ = sine_gordon_system(ch)
         pt = Point({"x": 0.0, "y": 0.0, "u": math.pi / 2, "p": 0.1, "q": 0.2})
         v = coefficients_at(omega1, pt)
-        ix = coefficient_index(ch, 2)
+        ix = basis_index(ch, 2)
         assert v[ix[0, 1]] == pytest.approx(1.0, abs=1e-15)
         assert v[ix[0, 3]] == -1.0
 
@@ -198,7 +215,7 @@ class TestCoefficientsAt:
         forms = [omega1, exterior_derivative(theta), DifferentialForm.zero(ch, 2), omega2]
         pt = Point({"x": 0.2, "y": -0.4, "u": 0.7, "p": 0.1, "q": -1.1})
         M = fm.coefficient_matrix_at(forms, pt)
-        ix = coefficient_index(ch, 2)
+        ix = basis_index(ch, 2)
         expect = np.zeros((10, len(forms)))
         for j, a in enumerate(forms):
             for t, c in a.coeffs.items():
@@ -215,7 +232,7 @@ class TestCoframeCoefficientsAt:
         cof = [d_coord(ch, c) for c in ch.coords]
         pt = Point({"x": 0.2, "y": -0.4, "u": 1.1, "p": 0.5, "q": -0.3})
         assert np.allclose(
-            coframe_coefficients_at(omega1, cof, pt), coefficients_at(omega1, pt), atol=1e-14
+            in_coframe(omega1, cof, pt), coefficients_at(omega1, pt), atol=1e-14
         )
 
     def test_scaled_coframe_divides_coefficient(self):
@@ -223,8 +240,8 @@ class TestCoframeCoefficientsAt:
         cof = [d_coord(ch, c) for c in ch.coords]
         cof[0] = 2 * cof[0]
         dxdy = wedge(d_coord(ch, "x"), d_coord(ch, "y"))
-        got = coframe_coefficients_at(dxdy, cof, Point({c: 0.0 for c in ch.coords}))
-        ix = coefficient_index(ch, 2)
+        got = in_coframe(dxdy, cof, Point({c: 0.0 for c in ch.coords}))
+        ix = basis_index(ch, 2)
         assert got[ix[0, 1]] == pytest.approx(0.5)
         mask = np.ones(len(got), bool)
         mask[ix[0, 1]] = False
@@ -235,7 +252,7 @@ class TestCoframeCoefficientsAt:
         cof = [d_coord(ch, "x")] * 2 + [d_coord(ch, c) for c in ("u", "p", "q")]
         dxdy = wedge(d_coord(ch, "x"), d_coord(ch, "y"))
         with pytest.raises(SingularCoframeError):
-            coframe_coefficients_at(dxdy, cof, Point({c: 0.0 for c in ch.coords}))
+            in_coframe(dxdy, cof, Point({c: 0.0 for c in ch.coords}))
 
     def test_nonfinite_coframe_rejected(self):
         # at x = 1 the first coefficient is inf * 0 = nan; np.linalg.cond
@@ -247,7 +264,7 @@ class TestCoframeCoefficientsAt:
         dxdy = wedge(d_coord(ch, "x"), d_coord(ch, "y"))
         pt = Point({c: 1.0 for c in ch.coords})
         with np.errstate(all="ignore"), pytest.raises(SingularCoframeError):
-            coframe_coefficients_at(dxdy, cof, pt)
+            in_coframe(dxdy, cof, pt)
 
     def test_adapted_coframe_block_structure(self):
         # the contact form's derivative decomposes into the two 2x2 blocks of
@@ -269,12 +286,12 @@ class TestCoframeCoefficientsAt:
         cof = [theta, thetab, dx, w2, dy, w4]
 
         rng = random.Random(7)
-        ix = coefficient_index(ch, 2)
+        ix = basis_index(ch, 2)
         for _ in range(4):
             pt = Point(
                 {c: rng.uniform(*BOX) for c in ch.coords}, {"lam": 1.0}
             )
-            got = coframe_coefficients_at(exterior_derivative(theta), cof, pt)
+            got = in_coframe(exterior_derivative(theta), cof, pt)
             assert got[ix[2, 3]] == pytest.approx(1.0, abs=1e-10)
             assert got[ix[4, 5]] == pytest.approx(1.0, abs=1e-10)
             for cross in ((2, 4), (2, 5), (3, 4), (3, 5)):
@@ -407,7 +424,7 @@ def test_property_graded_leibniz(coords, data, seed):
     a = data.draw(_form_strategy(coords, (0, 1, 2)))
     b = data.draw(_form_strategy(coords, (0, 1, 2)))
     if a.degree + b.degree >= len(coords):
-        b = DifferentialForm.function(b.chart, ex.Var(coords[0]))
+        b = function_form(b.chart, ex.Var(coords[0]))
     ab = wedge(a, b)
     lhs = exterior_derivative(ab)
     rhs = wedge(exterior_derivative(a), b)
@@ -449,13 +466,13 @@ def test_property_coordinate_coframe_matches_direct_extraction(a, seed):
     pt = Point({c: rng.uniform(*BOX) for c in _COORDS5})
     cof = [d_coord(a.chart, c) for c in _COORDS5]
     assert np.allclose(
-        coframe_coefficients_at(a, cof, pt), coefficients_at(a, pt), atol=1e-10
+        in_coframe(a, cof, pt), coefficients_at(a, pt), atol=1e-10
     )
 
 
 def _coframe_wedge(coframe, K):
     """sigma^K: the wedge of the coframe members indexed by K (1 for K = ())."""
-    out = DifferentialForm.function(coframe[0].chart, ex.ONE)
+    out = function_form(coframe[0].chart, ex.ONE)
     for k in K:
         out = wedge(out, coframe[k])
     return out
@@ -479,7 +496,7 @@ def test_property_coframe_expansion_reassembles_the_form(a, picks, seed):
     rng = random.Random(seed)
     pt = Point({c: rng.uniform(*BOX) for c in _COORDS5})
     try:
-        c = coframe_coefficients_at(a, coframe, pt)
+        c = in_coframe(a, coframe, pt)
     except SingularCoframeError:
         assume(False)
     terms = [

@@ -1,6 +1,4 @@
-"""Monge-Ampere system construction, pencil classification, decomposition."""
-
-import random
+"""Monge-Ampere system construction and pencil classification."""
 
 import numpy as np
 import pytest
@@ -28,13 +26,12 @@ class TestFromCoefficients:
     def test_sine_gordon_layout(self):
         sys, _ = sg_system()
         ch = sys.chart
-        ix = fm.coefficient_index(ch, 2)
         half = ex.Const(ex.Fraction(1, 2))
         assert sys.omega.coeffs[(0, 3)] == half  # dx^dp
         assert sys.omega.coeffs[(1, 4)] == ex.neg(half)  # dq^dy reversed
         assert sys.omega.coeffs[(0, 1)] == ex.neg(ex.sin(ex.Var("u")))
         assert set(sys.omega.coeffs) == {(0, 3), (1, 4), (0, 1)}
-        assert (0, 3) in ix
+        assert (0, 3) in fm.basis_tuples(ch.dim, 2)
 
     def test_contact_form_layout(self):
         sys, _ = sg_system()
@@ -154,47 +151,3 @@ class TestHyperbolicity:
                 assert ma.hyperbolicity(scaled_omega, spec).verdict == expected
                 scaled_theta = ma.MongeAmpereSystem(base.chart, c * base.theta, base.omega)
                 assert ma.hyperbolicity(scaled_theta, spec).verdict == expected
-
-
-class TestVerifyDecomposition:
-    def test_sine_gordon_pair_accepted(self):
-        sys, spec = sg_system()
-        omega1, omega2 = sg_generators(sys.chart)
-        assert ma.verify_decomposition(sys, omega1, omega2, spec)
-
-    def test_order_immaterial(self):
-        sys, spec = sg_system()
-        omega1, omega2 = sg_generators(sys.chart)
-        assert ma.verify_decomposition(sys, omega2, omega1, spec)
-
-    def test_non_decomposable_candidate_rejected(self):
-        sys, spec = sg_system()
-        _, omega2 = sg_generators(sys.chart)
-        ch = sys.chart
-        bad = fm.wedge(fm.d_coord(ch, "p"), fm.d_coord(ch, "x")) + fm.wedge(
-            fm.d_coord(ch, "q"), fm.d_coord(ch, "y")
-        )
-        assert not ma.verify_decomposition(sys, bad, omega2, spec)
-        checks = ma.decomposition_checks(sys, bad, omega2, spec)
-        assert not checks["omega1_decomposable"].ok
-        assert checks["omega1_decomposable"].max_violation > 1e-2
-
-    def test_wrong_span_rejected(self):
-        sys, spec = sg_system()
-        ch = sys.chart
-        dpdx = fm.wedge(fm.d_coord(ch, "p"), fm.d_coord(ch, "x"))
-        dqdy = fm.wedge(fm.d_coord(ch, "q"), fm.d_coord(ch, "y"))
-        # decomposable but spanning the wave system, not sine-Gordon
-        assert not ma.verify_decomposition(sys, dpdx, dqdy, spec)
-
-    def test_acceptance_implies_ideal_membership(self):
-        sys, spec = sg_system()
-        omega1, omega2 = sg_generators(sys.chart)
-        assert ma.verify_decomposition(sys, omega1, omega2, spec)
-        dth = fm.exterior_derivative(sys.theta)
-        assert fm.ideal_contains(dth, [sys.theta, omega1, omega2], spec).ok
-
-    def test_degree_precondition(self):
-        sys, spec = sg_system()
-        with pytest.raises(ValueError):
-            ma.decomposition_checks(sys, sys.theta, sys.omega, spec)

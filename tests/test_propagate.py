@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,27 @@ class TestSupError:
         with np.errstate(over="ignore"):
             fold.add(0, np.full((5, 5), -1e300))
         assert fold.result() == math.inf
+
+    @pytest.mark.parametrize("text, v, outcome", [
+        # the difference overflows: sup inf
+        ("17976931348623157*10^292", -1e300, math.inf),
+        # the reference overflows, or reads nan, in its own evaluation
+        ("exp(1000*x)", 0.0, r"^the reference is inf at node i=3, j=0,"),
+        ("exp(1000*y) - 3*exp(999*y)", 0.0, r"^the reference is nan at node i=0, j=6,"),
+    ])
+    def test_non_finite_values_raise_no_numpy_warning(self, text, v, outcome):
+        grid = pp.Grid(5, 9, 0.0, 1.0, 0.0, 1.0)
+        fold = pp.SupError(text, grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fold.add(0, np.full((4, 5), v))
+            fold.add(4, np.full((5, 5), v))
+        assert caught == []
+        if isinstance(outcome, float):
+            assert fold.result() == outcome
+        else:
+            with pytest.raises(ValueError, match=outcome):
+                fold.result()
 
     def test_a_non_finite_reference_outranks_an_overflow(self):
         grid = pp.Grid(5, 5, 0.0, 1.0, 0.0, 1.0)

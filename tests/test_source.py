@@ -2,25 +2,34 @@
 
 A function local that is assigned and never read is either dead code or a
 value computed and then forgotten; symtable finds both without running the
-code.  A top-level function, class or assigned name whose name appears
-nowhere but in its own definition is a helper nothing calls or a
-constant nothing reads.
+code.  A definition that no command reaches from `cli.main` is code that
+only a test or nothing runs: it is deleted, or kept on purpose in
+LIBRARY_API with its reason.  An imported name the module never reads is
+an import left behind.
 """
 
 import ast
 import pathlib
-import re
 import symtable
+from collections import defaultdict
 
 import pytest
 
 import edsbt
 
 SOURCES = sorted(pathlib.Path(edsbt.__file__).parent.glob("*.py"))
-# where a name of the package counts as used: the package, its tests and its benchmark
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-READERS = sorted(path for tree in ("src", "tests", "perfbench")
-                 for path in (ROOT / tree).rglob("*.py"))
+# definitions no command reaches that the package keeps, by "module.name"
+# or "module.Class.method", with why each stays
+LIBRARY_API = {
+    "backlund.quasilinear_fg": "acceptance criterion 8: f and g of quasilinear data in closed form",
+    "backlund.normalize_first_order": "acceptance criterion 8: the point normalization of u_x = F",
+    "backlund.check_integrable_extension": "acceptance criterion 3 and the README library example",
+    "propagate.wavelike_residual": "acceptance criterion 5 and the README library example",
+    "propagate.read_field_csv": "reads a field CSV back; the benchmark's CSV oracle uses it",
+    "propagate.Grid.mesh": "the benchmark's CSV oracle evaluates the closed form on it",
+    "propagate.write_field_csv": "README library API: writes a Field as the commands do",
+    "expr.atan": "completes the library's function constructors, one per parser function",
+}
 
 
 def _free_below(table) -> set:
@@ -86,63 +95,107 @@ def _bound_names(target) -> list:
     return []
 
 
-def _defined_names(node) -> list:
-    """The names a top-level statement defines; dunders such as __all__
-    are read by Python itself."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    if isinstance(node, ast.Assign):
-        names = [name for target in node.targets for name in _bound_names(target)]
-    elif isinstance(node, ast.AnnAssign):
-        names = _bound_names(node.target)
-    else:
-        return []
-    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
-def unnamed_definitions(module: str, source: str, others: str) -> list:
-    """(module, name) for each top-level function, class or assigned name
-    of `source` that appears neither in `others` nor in `source` outside
-    its own definition (decorators included)."""
-    lines = source.splitlines()
-    found = []
-    for node in ast.parse(source).body:
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-        for name in _defined_names(node):
-            named = re.compile(rf"\b{re.escape(name)}\b")
-            if not (named.search(rest) or named.search(others)):
-                found.append((module, name))
-    return found
+def _mentions(*nodes) -> set:
+    """Every name and attribute name read or written anywhere in `nodes`."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
 
 
-def test_readers_found():
-    assert {p.parent.name for p in READERS} >= {"edsbt", "tests", "perfbench"}
+def call_graph(sources: dict):
+    """By-name call graph of `sources` (module name -> text): a dict from
+    each definition ("module.name", "module.Class.method") to the names it
+    mentions, and the names the module-level statements that define
+    nothing mention.  A definition is a top-level function, class or
+    assigned name (dunders such as __all__ are read by Python itself) or a
+    method; a class mentions its bases, decorators, class-level statements
+    and, by qualified name, its dunder methods, which Python calls."""
+    graph, statements = {}, set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                graph[f"{module}.{node.name}"] = _mentions(node)
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{module}.{node.name}"
+                methods = [s for s in node.body
+                           if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                graph[cls] = _mentions(*node.bases, *node.keywords, *node.decorator_list,
+                                       *(s for s in node.body if s not in methods))
+                for method in methods:
+                    graph[f"{cls}.{method.name}"] = _mentions(method)
+                    if _is_dunder(method.name):
+                        graph[cls].add(f"{cls}.{method.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names = [n for t in targets for n in _bound_names(t) if not _is_dunder(n)]
+                for name in names:
+                    graph[f"{module}.{name}"] = _mentions(node.value) if node.value else set()
+                if not names:  # `TABLE[k] = v`, an `if`, an expression: it runs at import
+                    statements |= _mentions(node)
+    return graph, statements
 
 
-def test_every_top_level_definition_is_named_elsewhere():
-    texts = {path: path.read_text() for path in READERS}
-    found = []
-    for path in SOURCES:
-        others = "\n".join(text for other, text in texts.items() if other != path.resolve())
-        found += unnamed_definitions(path.stem, path.read_text(), others)
-    assert found == []
+def unreached(sources: dict, roots) -> list:
+    """The definitions of `sources` (see call_graph) that no path reaches
+    from `roots` or from a module-level statement, in source order.  A name
+    reaches every definition of that name, in any module or class."""
+    graph, statements = call_graph(sources)
+    by_name = defaultdict(list)
+    for qualified in graph:
+        by_name[qualified.rsplit(".", 1)[1]].append(qualified)
+    reached, todo = set(), [*roots, *(q for name in statements for q in by_name[name])]
+    while todo:
+        qualified = todo.pop()
+        if qualified not in reached:
+            reached.add(qualified)
+            for name in graph[qualified]:
+                todo += [name] if name in graph else by_name[name]
+    return [qualified for qualified in graph if qualified not in reached]
 
 
-def test_an_unnamed_definition_is_found():
+def test_every_definition_is_reached_from_main_or_library_api():
+    assert unreached({path.stem: path.read_text() for path in SOURCES},
+                     ["cli.main", *LIBRARY_API]) == []
+
+
+def test_library_api_names_existing_definitions():
+    graph, _ = call_graph({path.stem: path.read_text() for path in SOURCES})
+    assert [name for name in LIBRARY_API if name not in graph] == []
+    assert all(reason.strip() for reason in LIBRARY_API.values())
+
+
+def test_an_unreached_definition_is_found():
     source = (
         "import functools\n"
+        "def main():\n"
+        "    return used() + Called().total\n"
         "def used():\n"
         "    return 1\n"
         "def recursive(n):\n"  # names itself only
-        "    return recursive(n - 1) if n else used()\n"
+        "    return recursive(n - 1) if n else only_from_recursive()\n"
+        "def only_from_recursive():\n"  # named, but only by unreached code
+        "    return 0\n"
         "@functools.cache\n"
         "def cached():\n"
         "    return 2\n"
         "class Called:\n"
-        "    pass\n"
+        "    def __init__(self):\n"  # a reached class reaches its dunders
+        "        self.total = 3\n"
+        "    def helper(self):\n"
+        "        return 4\n"
     )
-    assert unnamed_definitions("m", source, "Called()") == [("m", "recursive"), ("m", "cached")]
+    other = "def kept():\n    return main()\n"  # another module's root reaches main
+    assert unreached({"m": source}, ["m.main"]) == [
+        "m.recursive", "m.only_from_recursive", "m.cached", "m.Called.helper"]
+    assert unreached({"m": source, "lib": other}, ["lib.kept", "m.cached"]) == [
+        "m.recursive", "m.only_from_recursive", "m.Called.helper"]
 
 
 def test_an_unread_constant_is_found():
@@ -153,8 +206,40 @@ def test_an_unread_constant_is_found():
         "UNREAD = 2\n"
         "FIRST, _SECOND = READ, 3\n"  # _SECOND is never read
         "TABLE: dict = {}\n"
-        "TABLE['k'] = math.pi\n"  # binds no name, and reads TABLE
+        "TABLE['k'] = math.pi\n"  # binds no name, runs at import and reads TABLE
         "LOOKED_UP = 4\n"
+        "def main():\n"
+        "    return FIRST + LOOKED_UP\n"
     )
-    assert unnamed_definitions("m", source, "FIRST LOOKED_UP") == [("m", "UNREAD"),
-                                                                   ("m", "_SECOND")]
+    assert unreached({"m": source}, ["m.main"]) == ["m.UNREAD", "m._SECOND"]
+
+
+def unread_imports(source: str) -> list:
+    """The names `source` imports (anywhere, `from __future__` aside) and
+    never reads, in the order they are imported."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_imported_name_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_an_unread_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"  # binds os, never read
+        "from typing import Optional, Sequence\n"  # Sequence is never read
+        "def f(x: Optional[int]):\n"  # an annotation reads its names
+        "    from json import dumps as _dumps\n"
+        "    return math.pi, _dumps\n"
+    )
+    assert unread_imports(source) == ["os", "Sequence"]
