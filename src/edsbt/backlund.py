@@ -240,12 +240,6 @@ class TorsionInvariants:
         self.values = values
         self.points = points
 
-    def at(self, i: int) -> dict:
-        return {name: float(self.values[name][i]) for name in TORSION_NAMES}
-
-    def product(self) -> np.ndarray:
-        return self.values["A1"] * self.values["A2"]
-
 
 def _read_torsion(points, T: np.ndarray) -> TorsionInvariants:
     """The torsion slots of stacked (samples, 15, 6) slot tables."""

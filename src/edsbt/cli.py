@@ -517,7 +517,7 @@ def _grid_from_args(args) -> pp.Grid:
         nx, ny = (int(part) for part in args.grid.split(","))
         x0, x1, y0, y1 = (float(part) for part in args.domain.split(","))
         grid = pp.Grid(nx, ny, x0, x1, y0, y1)
-        pp._require_interior(grid)
+        pp._require_grid(grid)
     except (ValueError, pp.PropagationError) as err:
         raise DefinitionError(f"bad --grid/--domain: {err}") from None
     return grid

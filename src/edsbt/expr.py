@@ -64,6 +64,11 @@ def _near_zero(x, guard: float):
     return (abs(x) < guard) | (x == 0)
 
 
+# the deepest tree parse accepts: the walks after it recurse, on derivatives
+# deeper than the tree, and every command runs on flat sums, products and
+# quotients of this depth, and on u/(v/(u/...)), which breaks down near 110
+MAX_DEPTH = 100
+
 # binding levels, weakest first; render parenthesizes by them
 _LEVEL_ADD = 10
 _LEVEL_MUL = 20
@@ -831,12 +836,18 @@ class _Parser:
 def parse(text: str, variables: Iterable[str], parameters: Iterable[str] = ()) -> Expr:
     """Parse `text` against declared coordinate and parameter names.
     Nesting too deep for the recursive descent is a syntax error at the
-    token it reached."""
+    token it reached, and a tree deeper than MAX_DEPTH one at offset 0."""
     parser = _Parser(text, variables, parameters)
     try:
-        return parser.parse()
+        e = parser.parse()
     except RecursionError:
         raise ExprSyntaxError("nesting too deep", parser.peek().pos) from None
+    level = {e}  # the nodes MAX_DEPTH steps below e, found without recursion
+    for _ in range(MAX_DEPTH):
+        level = {arg for node in level for arg in node._args() if isinstance(arg, Expr)}
+    if level:
+        raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} nodes", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ class DifferentialForm:
         self.degree = degree
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, chart: Chart, degree: int) -> "DifferentialForm":
-        return cls(chart, degree, {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -17,8 +17,9 @@ node at once.  The march holds two rows of its state.  The
 compatibility residual max |P_y - Q_x| is folded in as each row becomes
 final, from the march's own Q there and one solve for P; it vanishes to
 discretization accuracy exactly when the seed solves its PDE.  Then each
-final row is handed on: v is stored, and h' is made, counted and folded
-into its own residual three rows at a time.
+final row is handed on: v is stored, and h' is made, its singular nodes
+set to nan and counted, and folded into its own residual three rows at
+a time.  A Field holds nan at a singular node, as its CSV text does.
 
 v or h' can be written into a FieldRows, which queues every block of
 final rows on a queue that never fills; its forked children take blocks
@@ -120,28 +121,18 @@ class Grid:
 
 
 class Field:
-    """Grid function, values[j, i] at (x_i, y_j).
+    """Grid function, values[j, i] at (x_i, y_j); nan marks a singular node,
+    as in the CSV.  No value may be infinite."""
 
-    Values must be finite except where the optional singular mask is set.
-    """
+    __slots__ = ("grid", "values")
 
-    __slots__ = ("grid", "values", "singular")
-
-    def __init__(self, grid: Grid, values: np.ndarray, singular: Optional[np.ndarray] = None):
+    def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
         self.values = vals = np.asarray(values, dtype=float)
         if vals.shape != (grid.ny, grid.nx):
             raise ValueError(f"field shape {vals.shape} does not match grid {(grid.ny, grid.nx)}")
-        self.singular = mask = None if singular is None else np.asarray(singular, dtype=bool)
-        if mask is not None and mask.shape != vals.shape:
-            raise ValueError("singular mask shape does not match values")
-        probe = vals if mask is None else vals[~mask]
-        if probe.size and not np.all(np.isfinite(probe)):
-            raise ValueError("non-finite field values outside the singular mask")
-
-    @property
-    def singular_count(self) -> int:
-        return 0 if self.singular is None else int(self.singular.sum())
+        if np.isinf(vals).any():
+            raise ValueError("infinite field values")
 
 
 class SupError:
@@ -288,10 +279,12 @@ def _march(along_row, up_columns, p_row, on_row, start, grid: Grid):
     return worst
 
 
-def _require_interior(grid: Grid) -> None:
-    """The compatibility residual reads central differences at interior nodes."""
+def _require_grid(grid: Grid, rows: Optional[FieldRows] = None) -> None:
+    """Interior nodes for the compatibility residual, and rows on the marched grid."""
     if min(grid.nx, grid.ny) < 3:
         raise PropagationError(f"grid {grid.nx}x{grid.ny} has no interior node; need 3 per axis")
+    if rows is not None and rows.grid != grid:
+        raise ValueError(f"rows are on {rows.grid}, the march on {grid}")
 
 
 # second-order central differences of a grid array at the interior nodes
@@ -400,7 +393,7 @@ def bt_propagate(
     that which of its failures is raised does not depend on the CPU
     count; they are raised only once the march has passed.
     """
-    _require_interior(grid)
+    _require_grid(grid, rows)
     params = _fixed_params(bt.chart)
     seed = ex.as_expr(seed, ("x", "y"), tuple(params))
     ux_e = ex.differentiate(seed, "x")
@@ -585,13 +578,13 @@ def tzitzeica_propagate(
         beta_x  = h - alpha beta                        beta_y  = (h_y beta + alpha/lam)/h - beta^2
 
     integrated along the base row and then up the columns.  Nodes where
-    |h'| < GUARD are flagged singular rather than treated as failures.
+    |h'| < GUARD are singular rather than failures: h' holds nan there.
     Each row of h' is made, counted and folded into its residual once the
     march has that row final.  With `rows`, h' is written into its shared
-    array, nan at singular nodes, and no array of the grid's size is kept.
+    array, and no array of the grid's size is kept.
     `params` binds the fixed parameters that h names.
     """
-    _require_interior(grid)
+    _require_grid(grid, rows)
     params = params or {}
     h = ex.as_expr(h, ("x", "y"), tuple(params))
     lam = float(lam)
@@ -630,7 +623,6 @@ def tzitzeica_propagate(
 
     if rows is None:
         A, B, Hp = (np.empty((grid.ny, grid.nx)) for _ in range(3))
-        mask = np.zeros((grid.ny, grid.nx), dtype=bool)
     residual, singular = TzitzeicaResidual(grid), 0
 
     def on_row(j, w):  # p_row has just evaluated h on row j
@@ -639,17 +631,17 @@ def tzitzeica_propagate(
         hp = 2.0 * a * b - column_terms(ys[j])[1]
         sing = np.abs(hp) < GUARD
         singular += int(np.count_nonzero(sing))
+        hp = np.where(sing, np.nan, hp)
         residual.add(hp)
         if rows is None:
-            A[j], B[j], Hp[j], mask[j] = a, b, hp, sing
+            A[j], B[j], Hp[j] = a, b, hp
         else:
-            rows.values[j] = np.where(sing, np.nan, hp)
+            rows.values[j] = hp
             rows.post(j + 1)  # rows 0..j are final
 
     alpha_c, beta_c = _march(along_row, up_columns, p_row, on_row, (alpha0, beta0), grid)
     if rows is None:
-        alpha, beta = Field(grid, A), Field(grid, B)
-        h_prime = Field(grid, Hp, singular=mask if singular else None)
+        alpha, beta, h_prime = (Field(grid, values) for values in (A, B, Hp))
     else:
         alpha = beta = h_prime = None
     return TzitzeicaPropagation(alpha, beta, h_prime, float(alpha_c), float(beta_c), singular,
@@ -702,8 +694,10 @@ class FieldRows:
     shared table, -1 until then, and writes the block at the header's
     length plus the lengths before it once those are all known, holding
     it until then (_write_held).  Only queue records and single signal
-    bytes cross a pipe.  A march fills `values` and posts its rows as
-    they are final; write_field_csv copies a whole field in.
+    bytes cross a pipe.  A march on the same grid fills `values` and posts
+    its rows as they are final; write_field_csv copies a whole field in.
+    Either way a singular node is nan in `values`, as in a Field, and
+    `nan` in the text.
     Leaving the `with` block without a commit kills and reaps every child
     and removes the .tmp; a child whose queue closes because this process
     died exits at once.
@@ -901,7 +895,7 @@ def _pwrite(fd: int, data: bytes, offset: int) -> None:
 
 
 def write_field_csv(fieldobj: Field, path: str) -> None:
-    """Serialize a field; singular nodes become `nan`.
+    """Serialize a field, its singular nodes `nan` as in memory.
 
     The values are copied into a FieldRows for `path`, all rows ready at
     once, and committed: this process formats blocks with the children
@@ -914,8 +908,6 @@ def write_field_csv(fieldobj: Field, path: str) -> None:
     """
     with FieldRows(fieldobj.grid, path) as rows:
         rows.values[...] = fieldobj.values
-        if fieldobj.singular is not None:
-            rows.values[fieldobj.singular] = np.nan
         rows.commit()
 
 
@@ -1127,6 +1119,4 @@ def read_field_csv(path: str) -> Field:
             rows.append([float(s) for s in parts])
         if fh.read().strip():
             raise ValueError(f"data after the {ny} declared rows")
-    vals = np.array(rows, dtype=float)
-    mask = ~np.isfinite(vals)
-    return Field(grid, vals, singular=mask if mask.any() else None)
+    return Field(grid, np.array(rows, dtype=float))

@@ -64,7 +64,7 @@ def raw_system(ch, half_angle=True):
     theta_bar = dv - p * dx - G * dy
 
     def differential(h):
-        total = fm.DifferentialForm.zero(ch, 1)
+        total = fm.DifferentialForm(ch, 1, {})
         for c in ch.coords:
             total = total + ex.differentiate(h, c) * fm.d_coord(ch, c)
         return total
@@ -145,7 +145,7 @@ def test_criterion_4_normality_and_classification():
         spec = ch.sample_spec(count=64)
         bt = bk.build_wavelike(SG_F, SG_G, ch, spec)
         torsion = bk.extract_torsion(bt.section, spec=spec)
-        assert np.max(np.abs(torsion.product() + 1.0)) <= 1e-9
+        assert np.max(np.abs(torsion.values["A1"] * torsion.values["A2"] + 1.0)) <= 1e-9
         assert bk.normal_margins(torsion)["A1A2_minus_1"] == pytest.approx(2.0, abs=1e-9)
         assert bk.check_normal(torsion)
         eta1 = fm.d_coord(ch, "x")

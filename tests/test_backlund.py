@@ -311,7 +311,6 @@ class TestTorsion:
     def test_reference_point_table(self):
         bt, _ = sg_bt()
         torsion = bk.extract_torsion(bt.section, points=[reference_point()])
-        row = torsion.at(0)
         # at u = pi/2, v = 0, lam = 1: sin(pi/4) = cos(pi/4) = sqrt(2)/2
         expected = {
             "A1": 1.0,
@@ -326,27 +325,27 @@ class TestTorsion:
             "C4": -ROOT2 / 2,
         }
         for name, value in expected.items():
-            got = row[name]
-            assert got == pytest.approx(value, rel=1e-9, abs=1e-9), name
+            assert torsion.values[name][0] == pytest.approx(value, rel=1e-9, abs=1e-9), name
 
     def test_explicit_section_matches_built(self):
         ch = sg_chart()
         bt, _ = sg_bt()
         pts = [reference_point()]
-        built = bk.extract_torsion(bt.section, points=pts).at(0)
-        explicit = bk.extract_torsion(explicit_sg_section(ch), points=pts).at(0)
+        built = bk.extract_torsion(bt.section, points=pts).values
+        explicit = bk.extract_torsion(explicit_sg_section(ch), points=pts).values
+        assert list(built) == list(bk.TORSION_NAMES)
         for name in built:
-            assert built[name] == pytest.approx(explicit[name], abs=1e-9)
+            assert built[name][0] == pytest.approx(explicit[name][0], abs=1e-9)
 
     def test_lambda_scaling(self):
         # B2 scales linearly in lam, B4 and C4 inversely
         for lam in (0.5, 2.0):
             bt, _ = sg_bt(lam=lam)
-            row = bk.extract_torsion(bt.section, points=[reference_point(lam)]).at(0)
-            assert row["B2"] == pytest.approx(-0.5 * lam * math.sin(math.pi / 4), rel=1e-9)
-            assert row["B4"] == pytest.approx(math.sin(math.pi / 4) / (2 * lam), rel=1e-9)
-            assert row["C2"] == pytest.approx(-lam * math.cos(math.pi / 4), rel=1e-9)
-            assert row["C4"] == pytest.approx(-math.cos(math.pi / 4) / lam, rel=1e-9)
+            row = bk.extract_torsion(bt.section, points=[reference_point(lam)]).values
+            assert row["B2"][0] == pytest.approx(-0.5 * lam * math.sin(math.pi / 4), rel=1e-9)
+            assert row["B4"][0] == pytest.approx(math.sin(math.pi / 4) / (2 * lam), rel=1e-9)
+            assert row["C2"][0] == pytest.approx(-lam * math.cos(math.pi / 4), rel=1e-9)
+            assert row["C4"][0] == pytest.approx(-math.cos(math.pi / 4) / lam, rel=1e-9)
 
     def test_sampled_torsion_read_at_validated_points(self, monkeypatch):
         # w1 = (x/x) dx trips a guard of 0.5 near x = 0, so validation
@@ -387,13 +386,12 @@ class TestTorsion:
         bt, spec = sg_bt(count=32)
         torsion = bk.extract_torsion(bt.section, spec=spec)
         assert len(torsion.points) == 32
-        for i in range(len(torsion.points)):
-            row = torsion.at(i)
-            assert row["A1"] == pytest.approx(1.0, abs=1e-9)
-            assert row["A2"] == pytest.approx(-1.0, abs=1e-9)
-            for name in ("B1", "B3", "C1", "C3"):
-                assert abs(row[name]) < 1e-9
-        assert torsion.product() == pytest.approx(-1.0, abs=1e-9)
+        values = torsion.values
+        assert values["A1"] == pytest.approx(np.ones(32), abs=1e-9)
+        assert values["A2"] == pytest.approx(-np.ones(32), abs=1e-9)
+        for name in ("B1", "B3", "C1", "C3"):
+            assert np.max(np.abs(values[name])) < 1e-9
+        assert values["A1"] * values["A2"] == pytest.approx(-np.ones(32), abs=1e-9)
 
     def test_symbolic_invariants(self):
         bt, spec = sg_bt()
@@ -447,7 +445,7 @@ def raw_sg_system(ch, half_angle=True):
     theta_bar = dv - p * dx - G * dy
 
     def differential(h):
-        total = fm.DifferentialForm.zero(ch, 1)
+        total = fm.DifferentialForm(ch, 1, {})
         for c in ch.coords:
             total = total + ex.differentiate(h, c) * fm.d_coord(ch, c)
         return total

@@ -21,6 +21,7 @@ import pytest
 
 import edsbt.backlund as bk
 import edsbt.cli as cli
+import edsbt.expr as ex
 import edsbt.propagate as pp
 from test_propagate import reference_csv
 
@@ -220,6 +221,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"edsbt: {path}: [bt] F: nesting too deep (at offset ")
         assert captured.err.count("\n") == 1
+
+    @staticmethod
+    def deep_f(op, depth):
+        """SG_DEF with F = p + 2*lam*sin((u + v)/2) + a flat sum or product
+        in u and v, `depth` nodes deep: the sum's first two terms make 6
+        nodes and each further term one more, and F's last Add is one node
+        above a product of n factors, n nodes deep."""
+        n = depth - 6 if op == "+" else depth - 1
+        text = "p + 2*lam*sin((u + v)/2) + " + op.join((["u", "v"] * depth)[:n])
+        return SG_DEF.replace("F = p + 2*lam*sin((u + v)/2)", f"F = {text}")
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    @pytest.mark.parametrize("argv", [["check"], ["classify"], ["torsion"], [
+        "propagate", "--seed-u", "0", "--v0", "3", "--grid", "9,9", "--domain", "0,0.2,0,0.2"]],
+        ids=["check", "classify", "torsion", "propagate"])
+    def test_deepest_expression_runs(self, tmp_path, capsys, op, argv):
+        path = write_def(tmp_path, self.deep_f(op, ex.MAX_DEPTH))
+        if argv[0] == "propagate":
+            argv = [*argv, "--out", str(tmp_path / "v.csv")]
+        code = cli.main([argv[0], path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1) and "recursion" not in err
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_expression_too_deep_is_two(self, tmp_path, capsys, op):
+        path = write_def(tmp_path, self.deep_f(op, ex.MAX_DEPTH + 1))
+        code = cli.main(["check", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"edsbt: {path}: [bt] F: expression tree deeper than "
+                                f"{ex.MAX_DEPTH} nodes (at offset 0)\n")
 
     def test_wrong_kind_is_two(self, tmp_path, capsys):
         code, _ = run(capsys, "classify", write_def(tmp_path, TZ_DEF))
@@ -974,6 +1007,23 @@ class TestTzitzeicaCommand:
         assert report["h_prime_max_residual"] == 0.0
         field = pp.read_field_csv(out)
         assert np.all(field.values == 1.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_written_field_is_the_library_field(self, tmp_path, capsys, monkeypatch, cpus):
+        # 2*alpha0*beta0 = h at the corner, so h' is singular there: nan in
+        # the library's field as in the file
+        a0 = math.sqrt(0.5)
+        text = TZ_DEF.replace("alpha0 = 1", f"alpha0 = {a0!r}").replace("beta0 = 1",
+                                                                        f"beta0 = {a0!r}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = str(tmp_path / "hp.csv")
+        code, report = run(capsys, "tzitzeica", write_def(tmp_path, text), "--grid", "21,21",
+                           "--domain", "0,0.2,0,0.2", "--out-hprime", out)
+        assert code == 0
+        library = pp.tzitzeica_propagate("1", 1.0, a0, a0, pp.Grid(21, 21, 0.0, 0.2, 0.0, 0.2))
+        back = pp.read_field_csv(out).values
+        assert np.array_equal(library.h_prime.values, back, equal_nan=True)
+        assert report["singular_nodes"] == np.count_nonzero(np.isnan(back)) >= 1
 
     def test_no_usable_node_skips_the_residual(self, tmp_path, capsys):
         # from alpha0 = beta0 = 0, h' = 2 alpha beta - 1 stays negative

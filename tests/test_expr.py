@@ -96,10 +96,16 @@ class TestParse:
             P(text)
         assert 0 < err.value.position < len(opener) * 3000
 
-    def test_long_flat_sum_parses(self):
-        # a sum is parsed by a loop, so its length is no nesting (its
-        # 3000-deep tree may still break down where it is walked)
-        assert isinstance(P("+".join(["x"] * 3000)), expr.Add)
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_depth_bound(self, op):
+        # a flat sum or product of n terms is a tree n nodes deep; the
+        # parser's loop reads any length, and parse refuses the tree past
+        # MAX_DEPTH, which the recursive walks after it could not take
+        assert isinstance(P(op.join(["x", "y"] * (expr.MAX_DEPTH // 2))), (expr.Add, expr.Mul))
+        text = op.join(["x", "y"] * (expr.MAX_DEPTH // 2) + ["x"])
+        message = rf"^expression tree deeper than {expr.MAX_DEPTH} nodes \(at offset 0\)$"
+        with pytest.raises(ExprSyntaxError, match=message):
+            P(text)
 
 
 class TestDifferentiate:

@@ -206,13 +206,13 @@ class TestCoefficientsAt:
 
     def test_zero_form_gives_zero_vector(self):
         ch = chart5()
-        v = coefficients_at(DifferentialForm.zero(ch, 2), Point({c: 0.0 for c in ch.coords}))
+        v = coefficients_at(DifferentialForm(ch, 2, {}), Point({c: 0.0 for c in ch.coords}))
         assert v.shape == (10,) and not v.any()
 
     def test_matrix_has_one_column_per_form(self):
         ch = chart5()
         theta, omega1, omega2 = sine_gordon_system(ch)
-        forms = [omega1, exterior_derivative(theta), DifferentialForm.zero(ch, 2), omega2]
+        forms = [omega1, exterior_derivative(theta), DifferentialForm(ch, 2, {}), omega2]
         pt = Point({"x": 0.2, "y": -0.4, "u": 0.7, "p": 0.1, "q": -1.1})
         M = fm.coefficient_matrix_at(forms, pt)
         ix = basis_index(ch, 2)
@@ -349,7 +349,7 @@ class TestIdealContains:
 
     def test_empty_generators_only_contain_zero(self):
         ch = chart5()
-        assert ideal_contains(DifferentialForm.zero(ch, 2), [], ch.sample_spec(count=8)).ok
+        assert ideal_contains(DifferentialForm(ch, 2, {}), [], ch.sample_spec(count=8)).ok
         dx = d_coord(ch, "x")
         dxdy = wedge(dx, d_coord(ch, "y"))
         assert not ideal_contains(dxdy, [], ch.sample_spec(count=8)).ok

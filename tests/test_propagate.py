@@ -96,14 +96,17 @@ class TestField:
         with pytest.raises(ValueError):
             pp.Field(g, np.zeros((3, 2)))
 
-    def test_finite_unless_masked(self):
+    def test_nan_marks_a_singular_node(self):
         g = pp.Grid(2, 2, 0.0, 1.0, 0.0, 1.0)
         vals = np.array([[1.0, np.nan], [0.0, 2.0]])
+        assert np.array_equal(pp.Field(g, vals).values, vals, equal_nan=True)
+        assert pp.Field.__slots__ == ("grid", "values")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_refused(self, bad):
+        g = pp.Grid(2, 2, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            pp.Field(g, vals)
-        mask = np.array([[False, True], [False, False]])
-        f = pp.Field(g, vals, singular=mask)
-        assert f.singular_count == 1
+            pp.Field(g, np.array([[1.0, np.nan], [bad, 2.0]]))
 
 
 class TestSupError:
@@ -434,7 +437,7 @@ class TestWavelikeResidual:
         grid = pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0)
         vals = np.ones((3, 3))
         vals[1, 1] = np.nan
-        f = pp.Field(grid, vals, singular=np.isnan(vals))
+        f = pp.Field(grid, vals)
         with pytest.raises(ValueError):
             pp.wavelike_residual(f, "0")
 
@@ -485,9 +488,8 @@ class TestTzitzeicaPropagate:
         a0 = math.sqrt(0.5)
         grid = pp.Grid(21, 21, 0.0, 0.2, 0.0, 0.2)
         res = pp.tzitzeica_propagate("1", 1.0, a0, a0, grid)
-        assert res.singular_count >= 1
-        assert res.h_prime.singular is not None
-        assert res.h_prime.singular[0, 0]
+        assert res.singular_count == np.count_nonzero(np.isnan(res.h_prime.values)) >= 1
+        assert np.isnan(res.h_prime.values[0, 0])
 
     def test_vanishing_seed_rejected(self):
         grid = pp.Grid(21, 21, 0.0, 2.0, 0.0, 2.0)
@@ -506,8 +508,6 @@ def mesh_tzitzeica_residual(h_prime):
     grid = h_prime.grid
     vals = h_prime.values
     ok = np.isfinite(vals) & (vals > pp.GUARD)
-    if h_prime.singular is not None:
-        ok &= ~h_prime.singular
     L = np.where(ok, np.log(np.where(ok, vals, 1.0)), np.nan)
     # the mixed stencil touches the four diagonal neighbors plus the center
     usable = (
@@ -532,10 +532,9 @@ def mesh_tzitzeica_residual(h_prime):
 
 
 def folded_tzitzeica_residual(h_prime):
-    """The h' residual folded in row by row, from the rows a FieldRows
-    would hold: nan at the singular nodes."""
+    """The h' residual folded in row by row."""
     residual = pp.TzitzeicaResidual(h_prime.grid)
-    for row in written_values(h_prime):
+    for row in h_prime.values:
         residual.add(row)
     return residual.report()
 
@@ -575,8 +574,7 @@ class TestTzitzeicaResidual:
         grid = pp.Grid(7, 7, 0.0, 1.0, 0.0, 1.0)
         vals = np.ones((7, 7))
         vals[3, 3] = np.nan
-        mask = np.isnan(vals)
-        rep = self.report(pp.Field(grid, vals, singular=mask))
+        rep = self.report(pp.Field(grid, vals))
         # the nan node knocks out itself and the four stencils through it
         assert rep.excluded == 5
         assert rep.nodes == 25 - 5
@@ -585,10 +583,9 @@ class TestTzitzeicaResidual:
     def test_all_singular(self):
         grid = pp.Grid(4, 4, 0.0, 1.0, 0.0, 1.0)
         vals = np.full((4, 4), np.nan)
-        mask = np.ones((4, 4), dtype=bool)
         for residual in (folded_tzitzeica_residual, mesh_tzitzeica_residual):
             with pytest.raises(pp.SingularFieldError):
-                residual(pp.Field(grid, vals, singular=mask))
+                residual(pp.Field(grid, vals))
 
     # (h, lam, alpha0, beta0): a solution, two non-solutions, h' = 0 at the
     # corner, and h' <= 0 near the corner
@@ -606,8 +603,8 @@ class TestTzitzeicaResidual:
     @MARCHES
     def test_streamed_equals_the_returned_field(self, tmp_path, monkeypatch, h, lam, alpha0,
                                                 beta0):
-        # into a FieldRows, h' is written with nan at its singular nodes,
-        # the bytes write_field_csv gives the returned field
+        # into a FieldRows, h' is written as write_field_csv writes the
+        # returned field, nan at the singular nodes in both
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         grid = pp.Grid(41, 31, 0.0, 0.3, 0.0, 0.3)
         plain = pp.tzitzeica_propagate(h, lam, alpha0, beta0, grid)
@@ -886,18 +883,11 @@ class TestSeedTermReuse:
 
 
 
-def written_values(field):
-    vals = field.values.copy()
-    if field.singular is not None:
-        vals[field.singular] = np.nan
-    return vals
-
-
 def reference_csv(field):
     """The field CSV as one process writes it, row by row."""
     g = field.grid
     lines = [f"# grid nx={g.nx} ny={g.ny} x0={g.x0!r} x1={g.x1!r} y0={g.y0!r} y1={g.y1!r}"]
-    lines += [",".join(repr(float(v)) for v in row) for row in written_values(field)]
+    lines += [",".join(repr(float(v)) for v in row) for row in field.values]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -905,9 +895,9 @@ def csv_fields():
     rng = np.random.default_rng(5)
     two_rows = pp.Field(pp.Grid(4, 2, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(2, 4)))
     odd_rows = pp.Field(pp.Grid(3, 7, -1.0, 1.0, 0.5, 2.5), rng.normal(size=(7, 3)))
-    mask = np.zeros((5, 4), dtype=bool)
-    mask[0, 0] = mask[3, 2] = mask[4, 3] = True
-    singular = pp.Field(pp.Grid(4, 5, 0.0, 1.0, 0.0, 1.0), rng.normal(size=(5, 4)), mask)
+    vals = rng.normal(size=(5, 4))
+    vals[0, 0] = vals[3, 2] = vals[4, 3] = np.nan
+    singular = pp.Field(pp.Grid(4, 5, 0.0, 1.0, 0.0, 1.0), vals)
     extremes = np.array(
         [[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0], [0.1, 1.0 / 3.0, -2.5]]
     )
@@ -1095,7 +1085,6 @@ class TestFieldCSV:
         back = pp.read_field_csv(path)
         assert back.grid == grid
         assert np.array_equal(back.values, res.v.values)
-        assert back.singular is None
 
     def test_header_line(self, tmp_path):
         grid = pp.Grid(3, 2, 0.0, 2.0, -0.5, 1.0)
@@ -1108,17 +1097,14 @@ class TestFieldCSV:
     def test_singular_nodes_serialize_as_nan(self, tmp_path):
         grid = pp.Grid(3, 3, 0.0, 1.0, 0.0, 1.0)
         vals = np.ones((3, 3))
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[1, 2] = True
+        vals[1, 2] = np.nan
         path = str(tmp_path / "f.csv")
-        pp.write_field_csv(pp.Field(grid, vals, singular=mask), path)
+        pp.write_field_csv(pp.Field(grid, vals), path)
         with open(path) as fh:
             fh.readline()
             fh.readline()
             assert fh.readline() == "1.0,1.0,nan\n"
-        back = pp.read_field_csv(path)
-        assert back.singular is not None and back.singular[1, 2]
-        assert back.singular_count == 1
+        assert np.array_equal(pp.read_field_csv(path).values, vals, equal_nan=True)
 
     def test_write_is_atomic(self, tmp_path):
         grid = pp.Grid(2, 2, 0.0, 1.0, 0.0, 1.0)
@@ -1138,7 +1124,7 @@ class TestFieldCSV:
         assert len(forks) == min(cpus, field.grid.ny) - 1
         assert_no_child_left()
         back = pp.read_field_csv(path)
-        assert np.array_equal(back.values, written_values(field), equal_nan=True)
+        assert np.array_equal(back.values, field.values, equal_nan=True)
 
     def test_one_block_without_affinity(self, tmp_path, monkeypatch, forks):
         field = csv_fields()["odd ny"]
@@ -1215,6 +1201,15 @@ class TestFieldCSV:
         with pytest.raises(ValueError):
             pp.read_field_csv(path)
 
+    def test_infinite_value_rejected(self, tmp_path):
+        # nan reads back as a singular node; inf is no value a field holds
+        path = str(tmp_path / "inf.csv")
+        with open(path, "w") as fh:
+            fh.write("# grid nx=2 ny=2 x0=0.0 x1=1.0 y0=0.0 y1=1.0\n")
+            fh.write("0.0,nan\n-inf,0.0\n")
+        with pytest.raises(ValueError, match="infinite"):
+            pp.read_field_csv(path)
+
     def test_rows_after_the_declared_ones_rejected(self, tmp_path):
         path = str(tmp_path / "long.csv")
         with open(path, "w") as fh:
@@ -1252,6 +1247,19 @@ class TestFieldRows:
         with open(path, "rb") as fh:
             assert fh.read() == reference_csv(plain.v)
         assert not os.path.exists(path + ".tmp")
+
+    @pytest.mark.parametrize("march", ["tzitzeica", "bt"])
+    def test_rows_on_another_grid_raise(self, tmp_path, forks, sg_bt, march):
+        # a 5x7 march into rows of a 5x9 grid would leave two rows of zeros
+        grid = pp.Grid(5, 7, 0.0, 0.5, 0.0, 0.5)
+        with pp.FieldRows(pp.Grid(5, 9, 0.0, 0.5, 0.0, 0.5), str(tmp_path / "f.csv")) as rows:
+            with pytest.raises(ValueError, match="rows are on"):
+                if march == "tzitzeica":
+                    pp.tzitzeica_propagate("1", 1.0, 1.0, 1.0, grid, rows=rows)
+                else:
+                    pp.bt_propagate(sg_bt, "0", math.pi, grid, rows=rows)
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("march", ["tzitzeica", "bt"])
     def test_streamed_march_allocates_no_mesh_array(self, tmp_path, monkeypatch, sg_bt, march):

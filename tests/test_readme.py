@@ -52,10 +52,3 @@ def test_library_example_runs():
     residuals = [float(line) for line in lines[4:]]
     assert len(residuals) == 2
     assert all(0.0 <= r < 1e-3 for r in residuals)
-
-
-def test_library_api_section_names_every_kept_definition():
-    from test_source import LIBRARY_API
-
-    section = README.split("\n### Library API\n", 1)[1].split("\n#", 1)[0]
-    assert [name for name in LIBRARY_API if f"`{name}`" not in section] == []

@@ -10,6 +10,7 @@ an import left behind.
 
 import ast
 import pathlib
+import re
 import symtable
 from collections import defaultdict
 
@@ -18,6 +19,7 @@ import pytest
 import edsbt
 
 SOURCES = sorted(pathlib.Path(edsbt.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # definitions no command reaches that the package keeps, by "module.name"
 # or "module.Class.method", with why each stays
 LIBRARY_API = {
@@ -100,8 +102,9 @@ def _is_dunder(name: str) -> bool:
 
 
 def _mentions(*nodes) -> set:
-    """Every name and attribute name read or written anywhere in `nodes`."""
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+    """Every name read or written anywhere in `nodes`, and every attribute
+    name, as ".name"."""
+    return {sub.id if isinstance(sub, ast.Name) else "." + sub.attr
             for node in nodes for sub in ast.walk(node)
             if isinstance(sub, (ast.Name, ast.Attribute))}
 
@@ -144,12 +147,16 @@ def call_graph(sources: dict):
 
 def unreached(sources: dict, roots) -> list:
     """The definitions of `sources` (see call_graph) that no path reaches
-    from `roots` or from a module-level statement, in source order.  A name
-    reaches every definition of that name, in any module or class."""
+    from `roots` or from a module-level statement, in source order.  A bare
+    name reaches the top-level definitions of that name, in any module; an
+    attribute `x.name` reaches those and every method of that name."""
     graph, statements = call_graph(sources)
     by_name = defaultdict(list)
     for qualified in graph:
-        by_name[qualified.rsplit(".", 1)[1]].append(qualified)
+        *owner, name = qualified.split(".")
+        by_name["." + name].append(qualified)
+        if len(owner) == 1:  # "module.name", not a method
+            by_name[name].append(qualified)
     reached, todo = set(), [*roots, *(q for name in statements for q in by_name[name])]
     while todo:
         qualified = todo.pop()
@@ -169,6 +176,14 @@ def test_library_api_names_existing_definitions():
     graph, _ = call_graph({path.stem: path.read_text() for path in SOURCES})
     assert [name for name in LIBRARY_API if name not in graph] == []
     assert all(reason.strip() for reason in LIBRARY_API.values())
+
+
+def test_readme_library_api_names_exactly_library_api():
+    # each bullet names its definitions in backquotes before its first ": "
+    section = README.read_text().split("\n### Library API\n", 1)[1].split("\n#", 1)[0]
+    named = [name for line in section.splitlines() if line.startswith("- ")
+             for name in re.findall(r"`([^`]+)`", line.split(": ", 1)[0])]
+    assert sorted(named) == sorted(LIBRARY_API)
 
 
 def test_an_unreached_definition_is_found():
@@ -196,6 +211,22 @@ def test_an_unreached_definition_is_found():
         "m.recursive", "m.only_from_recursive", "m.cached", "m.Called.helper"]
     assert unreached({"m": source, "lib": other}, ["lib.kept", "m.cached"]) == [
         "m.recursive", "m.only_from_recursive", "m.Called.helper"]
+
+
+def test_a_method_named_only_by_a_local_is_found():
+    source = (
+        "import lib\n"
+        "def main(form):\n"
+        "    product = form.size * 2\n"  # a local: it reaches no method
+        "    return Form(product).size + lib.helper()\n"
+        "class Form:\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n"
+        "    def product(self):\n"  # named by the local alone
+        "        return self.size\n"
+    )
+    other = "def helper():\n    return 1\n"  # reached through `lib.helper`
+    assert unreached({"m": source, "lib": other}, ["m.main"]) == ["m.Form.product"]
 
 
 def test_an_unread_constant_is_found():
